@@ -65,7 +65,7 @@ def main() -> None:
     print(f"{'router':>20} {'nAUC':>8} {'Ps':>8} {'QNC_rel':>8} {'RCI':>8}")
     for name, router in routers.items():
         curve = sweep(router, table, test_idx, grid, cost_source="oracle")
-        m = metrics_summary(curve, table, test_idx, router, cost_source="oracle")
+        m = metrics_summary(curve, table, test_idx)
         qnc = "/" if m.qnc_relative is None else f"{m.qnc_relative:.4f}"
         print(f"{name:>20} {m.nauc:>8.4f} {m.peak_score:>8.4f} {qnc:>8} {m.rci:>8.4f}")
 

@@ -43,7 +43,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,7 +63,7 @@ from .dataset import (
     save_table,
     validate_synth_config,
 )
-from .oracle import margin_stats, select_under_budget_batch, write_margin_cdf_csv
+from .oracle import margin_stats, write_margin_cdf_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -396,16 +395,13 @@ def _sweep_outputs(
     grid = ev.budget_grid(table, test_idx, cfg.grid_points)
     cost_source = "oracle" if cfg.router == "oracle" else cfg.cost_source
     curve = ev.sweep(router, table, test_idx, grid, cost_source, cost_predictor)
-    summary = ev.metrics_summary(curve, table, test_idx, router, cost_source, cost_predictor)
-
-    scores = rt.router_scores(router, table, test_idx)
-    fcosts = rt.filter_costs(router, table, test_idx, cost_source, cost_predictor)
-    choices, _ = select_under_budget_batch(scores, fcosts, math.inf)
-    report = ev.rci(table, choices, test_idx)
-
+    report = ev.rci(table, curve.unlimited_choices, test_idx)
+    # written before the metrics, which raise on a curve of one cost: a
+    # router that collapses onto one model still leaves its evidence
     ev.write_curve_csv(curve, out / "curve.csv")
-    ev.write_metrics_json(summary, out / "metrics.json")
     ev.write_rci_csv(report, out / "rci_detail.csv")
+    summary = ev.metrics_summary(curve, table, test_idx, report)
+    ev.write_metrics_json(summary, out / "metrics.json")
     return summary
 
 

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dataset import RoutingTable
-from .oracle import select_under_budget_batch
+from .oracle import prefix_table, select_under_budget_batch
 from .rng import STREAM_NOISE, make_rng
 from .router import CostPredictorParams, Router, filter_costs, router_scores
 
@@ -39,9 +38,12 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepCurve:
-    """Points of one budget sweep, sorted by mean realized cost."""
+    """Points of one budget sweep, sorted by mean realized cost, and the
+    router's per-query choices with every model affordable (None for a
+    curve built by hand)."""
 
     points: tuple[SweepPoint, ...]
+    unlimited_choices: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         xs = [p.mean_cost for p in self.points]
@@ -73,8 +75,9 @@ def sweep(
     cost_source: str = "oracle",
     cost_predictor: CostPredictorParams | None = None,
 ) -> SweepCurve:
-    """Route every split query at each budget; scores and filter costs are
-    computed once per query since they do not depend on the budget."""
+    """Route every split query at each budget. Scores, filter costs and the
+    rule's prefix table are computed once, since they do not depend on the
+    budget; each budget is then a lookup."""
     indices = np.asarray(indices, dtype=np.int64)
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
@@ -85,10 +88,11 @@ def sweep(
     true_cost = table.cost[indices]
     rows = np.arange(indices.size)
     K = table.n_models
+    prefix = prefix_table(scores, fcosts)
 
     points = []
     for budget in grid:
-        choices, clamped = select_under_budget_batch(scores, fcosts, budget)
+        choices, clamped = prefix.select(budget)
         points.append(
             SweepPoint(
                 budget=float(budget),
@@ -99,7 +103,7 @@ def sweep(
             )
         )
     points.sort(key=lambda p: (p.mean_cost, p.budget))
-    return SweepCurve(points=tuple(points))
+    return SweepCurve(points=tuple(points), unlimited_choices=prefix.choices[:, -1])
 
 
 def _as_xy(curve) -> tuple[np.ndarray, np.ndarray]:
@@ -219,32 +223,22 @@ def rci(
     if selections.size and (selections.min() < 0 or selections.max() >= K):
         raise ValueError("selection index out of range")
 
-    records = []
-    scores = np.empty(indices.size)
-    for i, (n, m) in enumerate(zip(indices, selections)):
-        a_row = table.perf[n]
-        c_row = table.cost[n]
-        a_star = float(a_row.max())
-        a_sel = float(a_row[m])
-        cheaper = c_row < c_row[m]
-        x_n = int(cheaper.sum())
-        k_n = int(np.sum(cheaper & (a_row >= a_sel)))
-        if a_sel < a_star:
-            s = 1.0
-        elif x_n > 0:
-            s = k_n / x_n
-        else:
-            s = 0.0
-        scores[i] = s
-        records.append(
-            CollapseRecord(
-                n=int(n), m_n=int(m), a_selected=a_sel, a_star=a_star,
-                x_n=x_n, k_n=k_n, s_n=s,
-            )
-        )
+    perf = table.perf[indices]
+    cost = table.cost[indices]
+    rows = np.arange(indices.size)
+    a_sel = perf[rows, selections]
+    a_star = perf.max(axis=1)
+    cheaper = cost < cost[rows, selections][:, None]
+    x_n = cheaper.sum(axis=1)
+    k_n = (cheaper & (perf >= a_sel[:, None])).sum(axis=1)
+    scores = np.where(
+        a_sel < a_star, 1.0, np.where(x_n > 0, k_n / np.maximum(x_n, 1), 0.0)
+    )
+    columns = (indices, selections, a_sel, a_star, x_n, k_n, scores)
+    records = tuple(map(CollapseRecord, *(c.tolist() for c in columns)))
     rates = np.bincount(selections, minlength=K) / max(selections.size, 1)
     return CollapseReport(
-        records=tuple(records),
+        records=records,
         rci=float(scores.mean()) if scores.size else 0.0,
         call_rates=tuple(float(r) for r in rates),
     )
@@ -280,27 +274,25 @@ def metrics_summary(
     curve: SweepCurve,
     table: RoutingTable,
     indices: Sequence[int],
-    router: Router,
-    cost_source: str = "oracle",
-    cost_predictor: CostPredictorParams | None = None,
+    collapse: CollapseReport | None = None,
 ) -> MetricsSummary:
-    """Curve metrics plus the collapse index of the unconstrained-budget
-    selections of the same router."""
+    """Curve metrics plus the collapse index of the curve's unlimited-budget
+    choices; `collapse`, when given, is that report already computed."""
     indices = np.asarray(indices, dtype=np.int64)
     a_max, x_max, j_max = strongest_standalone(table, indices)
     q_abs, q_rel = qnc_from_curve(curve, a_max, x_max)
     ps, pc = peak_score(curve)
-    scores = router_scores(router, table, indices)
-    fcosts = filter_costs(router, table, indices, cost_source, cost_predictor)
-    choices, _ = select_under_budget_batch(scores, fcosts, math.inf)
-    report = rci(table, choices, indices)
+    if collapse is None:
+        if curve.unlimited_choices is None:
+            raise ValueError("curve has no unlimited-budget choices; make it with sweep()")
+        collapse = rci(table, curve.unlimited_choices, indices)
     return MetricsSummary(
         nauc=nauc(curve),
         peak_score=ps,
         peak_cost=pc,
         qnc=q_abs,
         qnc_relative=q_rel,
-        rci=report.rci,
+        rci=collapse.rci,
         a_max=a_max,
         x_max=x_max,
         j_max=j_max,
@@ -325,7 +317,7 @@ def training_set_eval(
     router = train_fn(table, all_idx, np.array([], dtype=np.int64))
     grid = budget_grid(table, all_idx, n_points)
     curve = sweep(router, table, all_idx, grid, cost_source, cost_predictor)
-    summary = metrics_summary(curve, table, all_idx, router, cost_source, cost_predictor)
+    summary = metrics_summary(curve, table, all_idx)
     return summary, curve
 
 

@@ -4,6 +4,17 @@ The oracle picks, per query and budget, the feasible model with the highest
 true performance, breaking ties by lowest cost and then lowest index. The
 same lexicographic rule is reused by every learned router, applied to its
 own scores/predicted costs, so it lives here.
+
+The rule is computed over cost-sorted prefixes. Stable-sort a query's models
+by (filter cost, index). The models affordable at any budget are then a
+prefix of that order, its length the number of costs <= budget, and within
+the prefix a model's position already ranks it by (cost, index). So the
+first maximum score of the prefix is the (max score, min cost, min index)
+choice, and the clamped fallback, the cheapest model with the lowest index,
+is the first model of the order. A running argmax gives the choice for every
+prefix length at once (`prefix_table`); any budget is then a count of
+affordable models and a lookup (`PrefixTable.select`). The rule only
+compares and gathers, so it is exact: no arithmetic touches a score or cost.
 """
 
 from __future__ import annotations
@@ -48,53 +59,69 @@ def feasible_set(table: RoutingTable, n: int, budget: float) -> FeasibleSet:
     )
 
 
-def argmax_lexicographic(scores: np.ndarray, costs: np.ndarray) -> int:
-    """Index maximizing score; ties broken by lower cost, then lower index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    best = scores.max()
-    cand = np.flatnonzero(scores == best)
-    cheapest = costs[cand].min()
-    return int(cand[costs[cand] == cheapest][0])
+def _check_scores(scores: np.ndarray) -> None:
+    # NaN compares false with everything, so no model would rank first
+    if np.isnan(scores).any():
+        raise ValueError("router scores contain NaN; the routing rule cannot rank them")
 
 
 def select_under_budget(
     scores: np.ndarray, filter_costs: np.ndarray, budget: float
 ) -> tuple[int, bool]:
-    """Apply the routing rule for one query.
+    """Apply the routing rule for one query: the first maximum score over the
+    affordable prefix of the (filter cost, index) order, or the first model
+    of that order, clamped, when nothing is affordable."""
+    _check_scores(scores)
+    order = np.argsort(filter_costs, kind="stable")
+    count = int(np.count_nonzero(filter_costs <= budget))
+    if count == 0:
+        return int(order[0]), True
+    return int(order[np.argmax(scores[order[:count]])]), False
 
-    Restrict to models with filter_costs <= budget (falling back to the
-    single cheapest model when none qualifies), then pick by
-    (max score, min filter cost, min index).
-    """
-    feasible = np.flatnonzero(filter_costs <= budget)
-    if feasible.size == 0:
-        return int(np.argmin(filter_costs)), True
-    j = argmax_lexicographic(scores[feasible], filter_costs[feasible])
-    return int(feasible[j]), False
+
+@dataclass(frozen=True, eq=False)
+class PrefixTable:
+    """The routing rule's choice for every affordable prefix of each query's
+    (filter cost, index)-sorted models."""
+
+    filter_costs: np.ndarray  # (N, K)
+    choices: np.ndarray  # (N, K): column m is the choice when m + 1 models are affordable
+
+    def select(self, budget: float) -> tuple[np.ndarray, np.ndarray]:
+        """(choices, clamped) of shape (N,) at one budget. A NaN budget
+        affords nothing, so every row clamps."""
+        count = np.count_nonzero(self.filter_costs <= budget, axis=1)
+        clamped = count == 0
+        col = np.maximum(count - 1, 0)
+        return self.choices[np.arange(col.size), col], clamped
+
+
+def prefix_table(scores: np.ndarray, filter_costs: np.ndarray) -> PrefixTable:
+    """Build the PrefixTable of (N, K) score and cost matrices: a stable sort
+    by cost, then a running first-argmax of the sorted scores."""
+    filter_costs = np.asarray(filter_costs)
+    _check_scores(scores)
+    order = np.argsort(filter_costs, axis=1, kind="stable")
+    ranked = np.take_along_axis(np.asarray(scores), order, axis=1)
+    running = np.maximum.accumulate(ranked, axis=1)
+    # a position opens a new maximum when it strictly beats every earlier one;
+    # the first maximum of a prefix is the last such position inside it
+    record = np.ones(ranked.shape, dtype=bool)
+    record[:, 1:] = ranked[:, 1:] > running[:, :-1]
+    positions = np.where(record, np.arange(ranked.shape[1]), 0)
+    first_max = np.maximum.accumulate(positions, axis=1)
+    return PrefixTable(filter_costs, np.take_along_axis(order, first_max, axis=1))
 
 
 def select_under_budget_batch(
     scores: np.ndarray, filter_costs: np.ndarray, budget: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized routing rule over (N, K) score and cost matrices.
+    """Routing rule over (N, K) score and cost matrices at one budget.
 
-    Returns (choices, clamped) of shape (N,). Identical, by construction,
-    to applying select_under_budget row by row.
+    Returns (choices, clamped) of shape (N,), row by row equal to
+    select_under_budget. To route many budgets, build prefix_table once.
     """
-    feas = filter_costs <= budget
-    clamped = ~feas.any(axis=1)
-    # clamped rows fall back to the cheapest model (lowest index on ties)
-    fallback = np.argmin(filter_costs, axis=1)
-
-    masked_scores = np.where(feas, scores, -np.inf)
-    best = masked_scores.max(axis=1, keepdims=True)
-    is_best = feas & (masked_scores == best)
-    masked_costs = np.where(is_best, filter_costs, np.inf)
-    min_cost = masked_costs.min(axis=1, keepdims=True)
-    is_pick = is_best & (masked_costs == min_cost)
-    choices = np.argmax(is_pick, axis=1)  # first True = lowest index
-    choices = np.where(clamped, fallback, choices)
-    return choices.astype(np.int64), clamped
+    return prefix_table(scores, filter_costs).select(budget)
 
 
 def oracle_select(table: RoutingTable, n: int, budget: float) -> int:

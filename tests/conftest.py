@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from equirouter.dataset import ModelInfo, RoutingTable, SynthConfig, generate_synthetic
+from equirouter.router import MlpHyper, train_mlp_router
 
 
 def make_table(perf, cost, embeddings=None) -> RoutingTable:
@@ -20,6 +21,23 @@ def make_table(perf, cost, embeddings=None) -> RoutingTable:
         perf=perf,
         cost=cost,
     )
+
+
+def constant_policy_router(table, favored=0):
+    """MLP with zeroed weights and a one-hot output bias: constant scores."""
+    mlp, _ = train_mlp_router(
+        table,
+        (np.arange(table.n_queries), np.array([], dtype=int)),
+        MlpHyper(d_q=table.embed_dim, n_models=table.n_models, hidden=4, epochs=1,
+                 batch_size=8),
+    )
+    mlp.hidden_layer.weight = np.zeros_like(mlp.hidden_layer.weight)
+    mlp.hidden_layer.bias = np.zeros_like(mlp.hidden_layer.bias)
+    mlp.output_layer.weight = np.zeros_like(mlp.output_layer.weight)
+    bias = np.zeros(table.n_models)
+    bias[favored] = 1.0
+    mlp.output_layer.bias = bias
+    return mlp
 
 
 @pytest.fixture(scope="session")

@@ -278,7 +278,7 @@ def test_criterion_07_ablation_direction(ablation_table):
         )
         router, _ = train_fn(table, split, hyper)
         curve = ev.sweep(router, table, test_idx, grid, "oracle")
-        return ev.metrics_summary(curve, table, test_idx, router, "oracle")
+        return ev.metrics_summary(curve, table, test_idx)
 
     def rel_or_inf(summary):
         return math.inf if summary.qnc_relative is None else summary.qnc_relative
@@ -354,7 +354,7 @@ def test_criterion_09_training_set_eval(tmp_path):
     router = train_equirouter(table, (all_idx, np.array([], dtype=int)), hyper)[0]
     grid = ev.budget_grid(table, all_idx, 50)
     direct_curve = ev.sweep(router, table, all_idx, grid)
-    direct_summary = ev.metrics_summary(direct_curve, table, all_idx, router)
+    direct_summary = ev.metrics_summary(direct_curve, table, all_idx)
 
     router_b = train_equirouter(table, (all_idx, np.array([], dtype=int)), hyper)[0]
     save_router(tmp_path / "a.ckpt", router)

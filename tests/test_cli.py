@@ -1,19 +1,24 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import equirouter.evaluation as evaluation_module
+import equirouter.router as router_module
 from equirouter.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_THRESHOLD,
     build_config,
     main,
     parse_config_text,
 )
-from equirouter.dataset import load_table, make_split, save_split, save_table
+from equirouter.dataset import load_split, load_table, make_split, save_split, save_table
+from equirouter.router import save_router
 
-from conftest import make_table
+from conftest import constant_policy_router, make_table
 
 
 SYNTH_CONFIG = """
@@ -207,6 +212,64 @@ def test_cmd_sweep_threshold_exit_code(tmp_path):
         tmp_path, SYNTH_CONFIG, out=out, router="oracle", **{"threshold.min_nauc": 2.0}
     )
     assert main(["sweep", "--config", cfg]) == EXIT_THRESHOLD
+
+
+def test_cmd_sweep_full_collapse_still_writes_evidence(tmp_path, capsys):
+    # the favoured model is every query's cheapest, so it is affordable at
+    # every budget: one model takes every call and the curve has one cost
+    n = 40
+    table = make_table(perf=[[0.2, 0.9, 0.5]] * n, cost=[[1.0, 2.0, 3.0]] * n)
+    tdir = tmp_path / "table"
+    save_table(table, tdir)
+    save_split(make_split(n, (3, 1, 6), 42), tdir / "split.json")
+    ckpt = tmp_path / "mlp.ckpt"
+    save_router(ckpt, constant_policy_router(table, favored=0))
+    out = tmp_path / "run"
+    cfg = write_config(
+        tmp_path, "router = mlp\ncost_source = oracle\ngrid_points = 10\n", table=tdir, out=out
+    )
+    assert main(["sweep", "--config", cfg, "--checkpoint", str(ckpt)]) == EXIT_RUNTIME
+    assert "degenerate cost range" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
+
+    curve = (out / "curve.csv").read_text().splitlines()
+    assert curve[0].split(",")[3:6] == ["calls_model_0", "calls_model_1", "calls_model_2"]
+    n_test = len(load_split(tdir / "split.json").test)
+    assert len(curve) == 11
+    assert all(row.split(",")[3:6] == [str(n_test), "0", "0"] for row in curve[1:])
+    detail = (out / "rci_detail.csv").read_text().splitlines()
+    assert len(detail) == n_test + 1
+    assert {row.split(",")[1] for row in detail[1:]} == {"0"}
+
+
+def test_sweep_and_pipeline_score_the_test_split_once(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, SYNTH_CONFIG, router="mlp", cost_source="predicted")
+    trained = tmp_path / "trained"
+    assert main(["train", "--config", cfg, "--out", str(trained)]) == EXIT_OK
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(router, table, indices, *args, **kwargs):
+            calls.append((name, np.asarray(indices).tolist()))
+            return fn(router, table, indices, *args, **kwargs)
+
+        return wrapper
+
+    # evaluation imports both functions; cli reaches them through the router module
+    for module in (evaluation_module, router_module):
+        for name in ("router_scores", "filter_costs"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+
+    runs = {
+        "sweep": ["--out", str(trained), "--checkpoint", str(trained / "mlp.ckpt")],
+        "pipeline": ["--out", str(tmp_path / "piped")],
+    }
+    for command, args in runs.items():
+        calls.clear()
+        assert main([command, "--config", cfg, *args]) == EXIT_OK
+        test = list(load_split(Path(args[1]) / "split.json").test)
+        assert sorted(calls) == [("filter_costs", test), ("router_scores", test)], command
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from equirouter.dataset import SynthConfig, generate_synthetic, make_split
 from equirouter.evaluation import (
+    CollapseRecord,
     SweepCurve,
     SweepPoint,
     budget_grid,
@@ -19,31 +20,9 @@ from equirouter.evaluation import (
     training_set_eval,
 )
 from equirouter.oracle import oracle_select_batch
-from equirouter.router import (
-    MlpHyper,
-    OracleRouter,
-    train_knn_router,
-    train_mlp_router,
-)
+from equirouter.router import OracleRouter, train_knn_router
 
-from conftest import make_table
-
-
-def constant_policy_router(table, favored=0):
-    """MLP with zeroed weights and a one-hot output bias: constant scores."""
-    mlp, _ = train_mlp_router(
-        table,
-        (np.arange(table.n_queries), np.array([], dtype=int)),
-        MlpHyper(d_q=table.embed_dim, n_models=table.n_models, hidden=4, epochs=1,
-                 batch_size=8),
-    )
-    mlp.hidden_layer.weight = np.zeros_like(mlp.hidden_layer.weight)
-    mlp.hidden_layer.bias = np.zeros_like(mlp.hidden_layer.bias)
-    mlp.output_layer.weight = np.zeros_like(mlp.output_layer.weight)
-    bias = np.zeros(table.n_models)
-    bias[favored] = 1.0
-    mlp.output_layer.bias = bias
-    return mlp
+from conftest import constant_policy_router, make_table
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +243,27 @@ def test_rci_rejects_out_of_range_selection():
 
 
 def _brute_force_rci(table, selections, indices):
-    scores = []
+    """Per-query records by direct enumeration, and their mean score."""
+    records = []
     for n, m in zip(indices, selections):
-        a = table.perf[n]
-        c = table.cost[n]
+        a = table.perf[n].tolist()
+        c = table.cost[n].tolist()
         a_star = max(a)
         cheaper = [j for j in range(len(a)) if c[j] < c[m]]
+        k_n = sum(1 for j in cheaper if a[j] >= a[m])
         if a[m] < a_star:
-            scores.append(1.0)
+            s = 1.0
         elif cheaper:
-            scores.append(sum(1 for j in cheaper if a[j] >= a[m]) / len(cheaper))
+            s = k_n / len(cheaper)
         else:
-            scores.append(0.0)
-    return sum(scores) / len(scores)
+            s = 0.0
+        records.append(CollapseRecord(int(n), int(m), a[m], a_star, len(cheaper), k_n, s))
+    return tuple(records), float(np.mean([r.s_n for r in records]))
 
 
 def test_rci_matches_brute_force_random():
+    # exact equality, field types included: rci_detail.csv writes these
+    # values with repr, and reruns are compared byte for byte
     rng = np.random.Generator(np.random.Philox(17))
     for _ in range(30):
         n, k = int(rng.integers(1, 6)), int(rng.integers(2, 6))
@@ -288,7 +272,14 @@ def test_rci_matches_brute_force_random():
         t = make_table(perf=perf, cost=cost)
         picks = rng.integers(0, k, size=n)
         idx = np.arange(n)
-        assert rci(t, picks, idx).rci == pytest.approx(_brute_force_rci(t, picks, idx))
+        report = rci(t, picks, idx)
+        want_records, want_rci = _brute_force_rci(t, picks, idx)
+        assert report.rci == want_rci
+        assert report.records == want_records
+        for got, want in zip(report.records, want_records):
+            assert [type(v) for v in vars(got).values()] == [
+                type(v) for v in vars(want).values()
+            ]
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +316,7 @@ def test_metrics_dict_keys(small_synth):
     idx = np.arange(small_synth.n_queries)
     grid = budget_grid(small_synth, idx, 20)
     curve = sweep(OracleRouter(), small_synth, idx, grid)
-    summary = metrics_summary(curve, small_synth, idx, OracleRouter())
+    summary = metrics_summary(curve, small_synth, idx)
     payload = metrics_to_dict(summary)
     for key in ("nauc", "peak_score", "qnc", "rci"):
         assert key in payload
@@ -341,7 +332,8 @@ def test_training_set_eval_equals_full_split_sweep(small_synth):
     grid = budget_grid(small_synth, idx, 30)
     direct = sweep(knn, small_synth, idx, grid)
     assert curve == direct
-    assert metrics_summary(direct, small_synth, idx, knn) == summary
+    assert np.array_equal(curve.unlimited_choices, direct.unlimited_choices)
+    assert metrics_summary(direct, small_synth, idx) == summary
 
 
 def test_training_set_eval_memorizer_near_oracle(small_synth):

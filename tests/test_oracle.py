@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equirouter.dataset import SynthConfig, generate_synthetic
-from equirouter.evaluation import noise_sensitivity
+from equirouter.evaluation import noise_sensitivity, sweep
 from equirouter.oracle import (
     NoiseConfig,
     feasible_set,
@@ -19,6 +21,7 @@ from equirouter.oracle import (
     write_margin_cdf_csv,
     write_mc_frequencies_csv,
 )
+from equirouter.router import OracleRouter
 
 from conftest import make_table
 
@@ -82,16 +85,38 @@ def _brute_force_select(a, c, budget):
 
 @settings(max_examples=100, deadline=None)
 @given(
+    n=st.integers(1, 6),
     k=st.integers(2, 8),
     seed=st.integers(0, 10_000),
     budget=st.floats(0.01, 5.0),
 )
-def test_select_matches_exhaustive_enumeration(k, seed, budget):
+def test_select_matches_exhaustive_enumeration(n, k, seed, budget):
     rng = np.random.Generator(np.random.Philox(seed))
-    a = np.round(rng.random(k), 2)  # rounding forces frequent ties
-    c = np.round(rng.random(k) * 3, 1) + 0.1
-    choice, _ = select_under_budget(a, c, budget)
-    assert choice == _brute_force_select(a, c, budget)
+    a = np.round(rng.random((n, k)), 1)  # rounding forces frequent score ties
+    c = np.round(rng.random((n, k)) * 3, 0) + 0.1  # and frequent cost ties
+    t = make_table(perf=a, cost=c)
+    rows = np.arange(n)
+    # budgets on every cost value, below every cost, unlimited and NaN
+    budgets = [budget, *np.unique(c).tolist(), 0.05, math.inf, math.nan]
+    for b in budgets:
+        want = [_brute_force_select(a[i], c[i], b) for i in rows]
+        want_clamped = [not np.any(c[i] <= b) for i in rows]
+        for i in rows:
+            assert select_under_budget(a[i], c[i], b) == (want[i], want_clamped[i])
+        choices, clamped = select_under_budget_batch(a, c, b)
+        assert choices.tolist() == want and clamped.tolist() == want_clamped
+        (point,) = sweep(OracleRouter(), t, rows, [b]).points
+        assert point.calls == tuple(np.bincount(want, minlength=k).tolist())
+        assert point.clamped == sum(want_clamped)
+
+
+def test_select_rejects_nan_scores():
+    scores = np.array([[0.2, np.nan, 0.9], [0.1, 0.5, 0.3]])
+    costs = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError, match="NaN"):
+        select_under_budget(scores[0], costs[0], 10.0)
+    with pytest.raises(ValueError, match="NaN"):
+        select_under_budget_batch(scores, costs, 10.0)
 
 
 def test_batch_select_matches_scalar(small_synth):
