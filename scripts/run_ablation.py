@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Router comparison on one synthetic table: oracle, EquiRouter, its two
 ablations, and the kNN/MLP baselines, each summarized by nAUC, peak score,
-QNC-relative and RCI on the held-out test split."""
+QNC-relative and RCI on the held-out test split. A router that picks the
+same model at every budget has no cost range, so its nAUC prints as "/"."""
 
 import argparse
 
 import numpy as np
 
 from equirouter.dataset import SynthConfig, generate_synthetic, make_split
-from equirouter.evaluation import budget_grid, metrics_summary, sweep
+from equirouter.evaluation import budget_grid, nauc, peak_score, qnc, rci, sweep
 from equirouter.router import (
     EquiHyper,
     MlpHyper,
@@ -65,9 +66,15 @@ def main() -> None:
     print(f"{'router':>20} {'nAUC':>8} {'Ps':>8} {'QNC_rel':>8} {'RCI':>8}")
     for name, router in routers.items():
         curve = sweep(router, table, test_idx, grid, cost_source="oracle")
-        m = metrics_summary(curve, table, test_idx)
-        qnc = "/" if m.qnc_relative is None else f"{m.qnc_relative:.4f}"
-        print(f"{name:>20} {m.nauc:>8.4f} {m.peak_score:>8.4f} {qnc:>8} {m.rci:>8.4f}")
+        try:
+            area = f"{nauc(curve):.4f}"
+        except ValueError:  # degenerate cost range: full collapse
+            area = "/"
+        ps, _ = peak_score(curve)
+        _, qnc_rel = qnc(curve, table, test_idx)
+        qnc_shown = "/" if qnc_rel is None else f"{qnc_rel:.4f}"
+        collapse = rci(table, curve.unlimited_choices, test_idx)
+        print(f"{name:>20} {area:>8} {ps:>8.4f} {qnc_shown:>8} {collapse.rci:>8.4f}")
 
 
 if __name__ == "__main__":

@@ -258,10 +258,30 @@ def _resolve_table(cfg: ExperimentConfig) -> RoutingTable:
 
 def _resolve_split(cfg: ExperimentConfig, table: RoutingTable, out: Path) -> SplitIndices:
     if cfg.table is not None and (Path(cfg.table) / "split.json").is_file():
-        return load_split(Path(cfg.table) / "split.json")
+        split = load_split(Path(cfg.table) / "split.json")
+        n_split = len(split.train) + len(split.valid) + len(split.test)
+        if n_split != table.n_queries:
+            raise ConfigError(
+                f"split.json partitions {n_split} queries but the table has "
+                f"{table.n_queries}"
+            )
+        return split
     split = make_split(table.n_queries, cfg.split_ratio, cfg.split_seed)
     save_split(split, out / "split.json")
     return split
+
+
+def _mlp_hyper(cfg: ExperimentConfig, table: RoutingTable) -> rt.MlpHyper:
+    """Sizes and schedule of the two-layer regressors (MLP baseline, cost predictor)."""
+    return rt.MlpHyper(
+        d_q=table.embed_dim,
+        n_models=table.n_models,
+        hidden=cfg.hidden,
+        learning_rate=cfg.lr,
+        epochs=cfg.epochs,
+        batch_size=cfg.batch_size,
+        seed=cfg.train_seed,
+    )
 
 
 def _train_router(cfg: ExperimentConfig, table: RoutingTable, split: SplitIndices):
@@ -271,16 +291,7 @@ def _train_router(cfg: ExperimentConfig, table: RoutingTable, split: SplitIndice
     if cfg.router == "knn":
         return rt.train_knn_router(table, split, k=cfg.knn_k), None
     if cfg.router == "mlp":
-        hyper = rt.MlpHyper(
-            d_q=table.embed_dim,
-            n_models=table.n_models,
-            hidden=cfg.hidden,
-            learning_rate=cfg.lr,
-            epochs=cfg.epochs,
-            batch_size=cfg.batch_size,
-            seed=cfg.train_seed,
-        )
-        return rt.train_mlp_router(table, split, hyper)
+        return rt.train_mlp_router(table, split, _mlp_hyper(cfg, table))
     hyper = rt.EquiHyper(
         d_q=table.embed_dim,
         n_models=table.n_models,
@@ -297,18 +308,6 @@ def _train_router(cfg: ExperimentConfig, table: RoutingTable, split: SplitIndice
     if cfg.router == "equirouter-nojoint":
         return rt.train_no_joint_ablation(table, split, hyper)
     return rt.train_mse_ablation(table, split, hyper)
-
-
-def _cost_hyper(cfg: ExperimentConfig, table: RoutingTable) -> rt.MlpHyper:
-    return rt.MlpHyper(
-        d_q=table.embed_dim,
-        n_models=table.n_models,
-        hidden=cfg.hidden,
-        learning_rate=cfg.lr,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        seed=cfg.train_seed,
-    )
 
 
 def _write_train_log(log, path: Path) -> None:
@@ -376,7 +375,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     if log is not None:
         _write_train_log(log, out / "train_log.csv")
     if cfg.cost_source == "predicted":
-        cp, cost_log = rt.train_cost_predictor(table, split, _cost_hyper(cfg, table))
+        cp, cost_log = rt.train_cost_predictor(table, split, _mlp_hyper(cfg, table))
         rt.save_cost_predictor(out / "cost.ckpt", cp)
         _write_train_log(cost_log, out / "cost_train_log.csv")
     print(f"wrote checkpoint {out / (cfg.router + '.ckpt')}")
@@ -486,7 +485,7 @@ def cmd_pipeline(cfg: ExperimentConfig) -> int:
             _write_train_log(log, out / "train_log.csv")
     cost_predictor = None
     if cfg.cost_source == "predicted" and cfg.router != "oracle":
-        cost_predictor, cost_log = rt.train_cost_predictor(table, split, _cost_hyper(cfg, table))
+        cost_predictor, cost_log = rt.train_cost_predictor(table, split, _mlp_hyper(cfg, table))
         rt.save_cost_predictor(out / "cost.ckpt", cost_predictor)
         _write_train_log(cost_log, out / "cost_train_log.csv")
 

@@ -1,11 +1,13 @@
 """Dense-network numerics: exact backprop, Adam, gradient checking, checkpoints.
 
 Everything runs in 64-bit floats. Layers are plain dataclasses over numpy
-arrays; parameters travel as flat lists of arrays in a fixed order so the
-optimizer, the gradient checker and the checkpoint format all agree on the
-coordinate layout. Initialization is uniform in +-sqrt(6 / (fan_in +
-fan_out)) from a seeded Philox stream; training is single-threaded and
-bit-reproducible for a fixed seed.
+arrays, and every network in the package backpropagates through `backward`:
+`forward_layers` records each layer's input on the way forward and
+`backward_layers` replays them in reverse. Parameters travel as flat lists
+of arrays in a fixed order so the optimizer, the gradient checker and the
+checkpoint format all agree on the coordinate layout. Initialization is
+uniform in +-sqrt(6 / (fan_in + fan_out)) from a seeded Philox stream;
+training is single-threaded and bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -86,6 +88,32 @@ def backward(
     grad_w = grad_out.T @ x
     grad_b = grad_out.sum(axis=0)
     return grad_x, grad_w, grad_b
+
+
+def forward_layers(
+    layers: Sequence[DenseLayer], x: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Apply `layers` in order; returns the output and each layer's input."""
+    inputs = []
+    for layer in layers:
+        inputs.append(x)
+        x = forward(layer, x)
+    return x, inputs
+
+
+def backward_layers(
+    layers: Sequence[DenseLayer], inputs: Sequence[np.ndarray], grad_out: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Backprop through a `forward_layers` pass given the inputs it recorded.
+
+    Returns the gradient w.r.t. the stack's input and the flat list
+    [grad_weight, grad_bias, ...] in layer order.
+    """
+    grads: list[np.ndarray] = []
+    for layer, x in zip(reversed(layers), reversed(inputs)):
+        grad_out, grad_w, grad_b = backward(layer, x, grad_out)
+        grads[:0] = [grad_w, grad_b]
+    return grad_out, grads
 
 
 @dataclass

@@ -17,8 +17,10 @@ matches the argmax decision made at deployment. The "no joint feature"
 ablation feeds [z_j, e_j] to the head; the "mse" ablation keeps the
 architecture but regresses s_j onto the raw performance values.
 
-Backpropagation is hand-derived and exact; see tests for finite-difference
-verification of every path.
+Dense layers backpropagate through `neuralnet.backward`; only the modulation
+and the interaction blocks are differentiated here. Every trainer runs the
+same epoch loop (`_fit`) and differs only in its batch objective and
+validation loss. Tests check every gradient against finite differences.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ from .dataset import RoutingTable, SplitIndices
 from .neuralnet import (
     DenseLayer,
     adam_step,
+    backward,
+    backward_layers,
     forward,
+    forward_layers,
     init_adam,
     init_dense,
     load_checkpoint,
@@ -137,20 +142,26 @@ def init_equirouter(
     )
 
 
+def _layer_params(layers: list[DenseLayer]) -> list[np.ndarray]:
+    """Flat [weight, bias, ...] list of a layer stack."""
+    return [v for layer in layers for v in (layer.weight, layer.bias)]
+
+
+def _assign_layers(layers: list[DenseLayer], values: list[np.ndarray]) -> None:
+    """Inverse of _layer_params."""
+    for i, layer in enumerate(layers):
+        layer.weight, layer.bias = values[2 * i], values[2 * i + 1]
+
+
 def params_list(p: EquiRouterParams) -> list[np.ndarray]:
     """Canonical flat parameter order shared by Adam, grad checks, checkpoints."""
-    out = [p.model_embeddings]
-    for layer in [*p.trunk, p.film_proj, p.model_proj, *p.score_head]:
-        out.extend([layer.weight, layer.bias])
-    return out
+    layers = [*p.trunk, p.film_proj, p.model_proj, *p.score_head]
+    return [p.model_embeddings, *_layer_params(layers)]
 
 
 def assign_params(p: EquiRouterParams, values: list[np.ndarray]) -> None:
-    it = iter(values)
-    p.model_embeddings = next(it)
-    for layer in [*p.trunk, p.film_proj, p.model_proj, *p.score_head]:
-        layer.weight = next(it)
-        layer.bias = next(it)
+    p.model_embeddings = values[0]
+    _assign_layers([*p.trunk, p.film_proj, p.model_proj, *p.score_head], values[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +196,7 @@ def _forward_scores(p: EquiRouterParams, Q: np.ndarray):
     K = p.model_embeddings.shape[0]
     D = p.latent_dim
 
-    trunk_inputs = []
-    h = Q
-    for layer in p.trunk:
-        trunk_inputs.append(h)
-        h = forward(layer, h)
-    Z = h  # (B, D)
+    Z, trunk_inputs = forward_layers(p.trunk, Q)  # (B, D)
 
     M = p.model_embeddings
     G = forward(p.film_proj, M)  # (K, 2D)
@@ -211,32 +217,19 @@ def _forward_scores(p: EquiRouterParams, Q: np.ndarray):
     else:
         H = np.concatenate([Zj, np.broadcast_to(E[None, :, :], (B, K, D))], axis=2)
 
-    head_inputs = []
-    h = H.reshape(B * K, -1)
-    for layer in p.score_head:
-        head_inputs.append(h)
-        h = forward(layer, h)
-    scores = h.reshape(B, K)
-    cache = (Q, trunk_inputs, Z, gamma, beta, E, Zj, head_inputs)
-    return scores, cache
+    h, head_inputs = forward_layers(p.score_head, H.reshape(B * K, -1))
+    cache = (trunk_inputs, Z, gamma, E, Zj, head_inputs)
+    return h.reshape(B, K), cache
 
 
 def _backward_scores(p: EquiRouterParams, cache, dS: np.ndarray) -> list[np.ndarray]:
     """Gradients of sum(dS * scores) w.r.t. every parameter, canonical order."""
-    Q, trunk_inputs, Z, gamma, beta, E, Zj, head_inputs = cache
+    trunk_inputs, Z, gamma, E, Zj, head_inputs = cache
     B, K = dS.shape
     D = p.latent_dim
 
-    g = dS.reshape(B * K, 1)
-    head_grads = []
-    for layer, x in zip(reversed(p.score_head), reversed(head_inputs)):
-        if layer.activation == "relu":
-            z = x @ layer.weight.T + layer.bias
-            g = g * (z > 0.0)
-        head_grads.append((g.T @ x, g.sum(axis=0)))
-        g = g @ layer.weight
-    head_grads.reverse()
-    dH = g.reshape(B, K, -1)
+    dH, head_grads = backward_layers(p.score_head, head_inputs, dS.reshape(B * K, 1))
+    dH = dH.reshape(B, K, -1)
 
     dZj = dH[:, :, :D].copy()
     dE_b = dH[:, :, D : 2 * D].copy()
@@ -256,30 +249,14 @@ def _backward_scores(p: EquiRouterParams, cache, dS: np.ndarray) -> list[np.ndar
 
     M = p.model_embeddings
     dG = np.concatenate([dGamma, dBeta], axis=1)  # (K, 2D)
-    film_w_grad = dG.T @ M
-    film_b_grad = dG.sum(axis=0)
-    dM = dG @ p.film_proj.weight
-    proj_w_grad = dE.T @ M
-    proj_b_grad = dE.sum(axis=0)
-    dM = dM + dE @ p.model_proj.weight
+    dM, film_w_grad, film_b_grad = backward(p.film_proj, M, dG)
+    dM_proj, proj_w_grad, proj_b_grad = backward(p.model_proj, M, dE)
+    dM = dM + dM_proj
 
-    g = dZ
-    trunk_grads = []
-    for layer, x in zip(reversed(p.trunk), reversed(trunk_inputs)):
-        if layer.activation == "relu":
-            z = x @ layer.weight.T + layer.bias
-            g = g * (z > 0.0)
-        trunk_grads.append((g.T @ x, g.sum(axis=0)))
-        g = g @ layer.weight
-    trunk_grads.reverse()
-
-    grads: list[np.ndarray] = [dM]
-    for gw, gb in trunk_grads:
-        grads.extend([gw, gb])
-    grads.extend([film_w_grad, film_b_grad, proj_w_grad, proj_b_grad])
-    for gw, gb in head_grads:
-        grads.extend([gw, gb])
-    return grads
+    _, trunk_grads = backward_layers(p.trunk, trunk_inputs, dZ)
+    return [
+        dM, *trunk_grads, film_w_grad, film_b_grad, proj_w_grad, proj_b_grad, *head_grads
+    ]
 
 
 def scores_batch(p: EquiRouterParams, Q: np.ndarray) -> np.ndarray:
@@ -407,10 +384,14 @@ def mse_objective(
 ) -> tuple[float, list[np.ndarray]]:
     """Mean squared error of scores against per-model targets, with gradients."""
     S, cache = _forward_scores(p, Q)
-    diff = S - targets
-    loss = float(np.mean(diff * diff))
-    dS = 2.0 * diff / diff.size
+    loss, dS = _mse(S, targets)
     return loss, _backward_scores(p, cache, dS)
+
+
+def _mse(pred: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared error and its gradient w.r.t. `pred`."""
+    diff = pred - targets
+    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +409,59 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarr
     order = rng.permutation(n)
     size = min(batch_size, n)
     return [order[i : i + size] for i in range(0, n, size)]
+
+
+def _check_finite(epoch: int, what: str, loss: float, plist: list[np.ndarray]) -> None:
+    for i, v in enumerate(plist):
+        if not np.isfinite(v).all():
+            raise FloatingPointError(
+                f"training diverged at epoch {epoch}: parameter {i} "
+                "(canonical order) is not finite after the Adam step"
+            )
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"training diverged at epoch {epoch}: {what} is {loss}")
+
+
+def _fit(
+    plist: list[np.ndarray],
+    assign,
+    batch_objective,
+    val_loss,
+    n_train: int,
+    hyper: EquiHyper | MlpHyper,
+    weight_decay: float = 0.0,
+) -> list[TrainLogRow]:
+    """Seeded minibatch Adam shared by every trainer.
+
+    `batch_objective(rows)` returns (loss, grads in `plist` order),
+    `assign(values)` installs parameters and `val_loss()` (None: no
+    validation signal) scores them. Logs both losses per epoch, leaves the
+    lowest-validation-loss epoch installed (else the last), and raises
+    FloatingPointError once a loss or an updated parameter is not finite.
+    """
+    adam = init_adam(plist, learning_rate=hyper.learning_rate, weight_decay=weight_decay)
+    log: list[TrainLogRow] = []
+    best = (np.inf, [v.copy() for v in plist])
+    for epoch in range(hyper.epochs):
+        rng = make_rng(hyper.seed, STREAM_SHUFFLE, epoch)
+        total, count = 0.0, 0
+        for batch in _batches(n_train, hyper.batch_size, rng):
+            loss, grads = batch_objective(batch)
+            plist = adam_step(adam, plist, grads)
+            _check_finite(epoch, "batch loss", loss, plist)
+            assign(plist)
+            total += loss * batch.size
+            count += batch.size
+        vl = float("nan")
+        if val_loss is not None:
+            vl = val_loss()
+            _check_finite(epoch, "validation loss", vl, [])
+        log.append(TrainLogRow(epoch=epoch, train_loss=total / count, val_loss=vl))
+        if vl < best[0]:
+            best = (vl, [v.copy() for v in plist])
+    if np.isfinite(best[0]):
+        assign(best[1])
+    return log
 
 
 def train_equirouter(
@@ -491,58 +525,43 @@ def _train_scores(
         valid_q = table.embeddings[
             valid_idx[[i for i, pr in enumerate(vp_all) if len(pr)]]
         ]
-    else:
-        train_pairs = None
-        valid_pairs = []
-        valid_q = table.embeddings[valid_idx]
 
-    tag = {("rank", True): "equirouter", ("rank", False): "equirouter_nojoint"}.get(
-        (objective, joint_feature), "mse"
-    )
-    params = init_equirouter(hyper, joint_feature=joint_feature, tag=tag)
-    plist = params_list(params)
-    adam = init_adam(
-        plist, learning_rate=hyper.learning_rate, weight_decay=hyper.weight_decay
-    )
-    Q_train = table.embeddings[train_idx]
-    A_train = table.perf[train_idx]
+        def batch_objective(batch):
+            return ranking_objective(
+                params, Q_train[batch], [train_pairs[b] for b in batch]
+            )
 
-    def val_loss() -> float:
-        if objective == "rank":
-            if not valid_pairs:
-                return float("nan")
+        def val_loss() -> float:
             S = scores_batch(params, valid_q)
+            if not np.isfinite(S).all():  # ranking_loss would raise
+                return float("nan")
             return float(
                 np.mean([ranking_loss(S[q], pr) for q, pr in enumerate(valid_pairs)])
             )
-        if valid_q.shape[0] == 0:
-            return float("nan")
-        S = scores_batch(params, valid_q)
-        diff = S - table.perf[valid_idx]
-        return float(np.mean(diff * diff))
 
-    log: list[TrainLogRow] = []
-    best = (np.inf, [v.copy() for v in plist])
-    for epoch in range(hyper.epochs):
-        rng = make_rng(hyper.seed, STREAM_SHUFFLE, epoch)
-        total, count = 0.0, 0
-        for batch in _batches(train_idx.size, hyper.batch_size, rng):
-            if objective == "rank":
-                loss, grads = ranking_objective(
-                    params, Q_train[batch], [train_pairs[b] for b in batch]
-                )
-            else:
-                loss, grads = mse_objective(params, Q_train[batch], A_train[batch])
-            plist = adam_step(adam, plist, grads)
-            assign_params(params, plist)
-            total += loss * batch.size
-            count += batch.size
-        vl = val_loss()
-        log.append(TrainLogRow(epoch=epoch, train_loss=total / count, val_loss=vl))
-        if np.isfinite(vl) and vl < best[0]:
-            best = (vl, [v.copy() for v in plist])
-    if np.isfinite(best[0]):
-        assign_params(params, best[1])
+    else:
+        A_train = table.perf[train_idx]
+        valid_q = table.embeddings[valid_idx]
+
+        def batch_objective(batch):
+            return mse_objective(params, Q_train[batch], A_train[batch])
+
+        def val_loss() -> float:
+            return _mse(scores_batch(params, valid_q), table.perf[valid_idx])[0]
+
+    params = init_equirouter(
+        hyper, joint_feature=joint_feature, tag="mse" if objective == "mse" else None
+    )
+    Q_train = table.embeddings[train_idx]
+    log = _fit(
+        params_list(params),
+        lambda values: assign_params(params, values),
+        batch_objective,
+        val_loss if valid_q.shape[0] else None,
+        train_idx.size,
+        hyper,
+        hyper.weight_decay,
+    )
     return params, log
 
 
@@ -586,8 +605,14 @@ def _init_two_layer(hyper: MlpHyper) -> tuple[DenseLayer, DenseLayer]:
     )
 
 
-def _two_layer_forward(l1: DenseLayer, l2: DenseLayer, Q: np.ndarray) -> np.ndarray:
-    return forward(l2, forward(l1, Q))
+def _regressor_objective(
+    layers: list[DenseLayer], Q: np.ndarray, targets: np.ndarray
+) -> tuple[float, list[np.ndarray]]:
+    """MSE of a layer stack's outputs against targets, with gradients in
+    [weight, bias, ...] order."""
+    y, inputs = forward_layers(layers, Q)
+    loss, dy = _mse(y, targets)
+    return loss, backward_layers(layers, inputs, dy)[1]
 
 
 def _train_two_layer(
@@ -597,45 +622,20 @@ def _train_two_layer(
     T_valid: np.ndarray,
     hyper: MlpHyper,
 ) -> tuple[DenseLayer, DenseLayer, list[TrainLogRow]]:
-    l1, l2 = _init_two_layer(hyper)
-    plist = [l1.weight, l1.bias, l2.weight, l2.bias]
-    adam = init_adam(plist, learning_rate=hyper.learning_rate)
+    layers = list(_init_two_layer(hyper))
 
-    def mse_and_grads(batch_q, batch_t):
-        h = forward(l1, batch_q)
-        y = forward(l2, h)
-        diff = y - batch_t
-        loss = float(np.mean(diff * diff))
-        g = 2.0 * diff / diff.size
-        gx2, gw2, gb2 = ((g @ l2.weight), (g.T @ h), g.sum(0))
-        z1 = batch_q @ l1.weight.T + l1.bias
-        g1 = gx2 * (z1 > 0.0)
-        gw1, gb1 = g1.T @ batch_q, g1.sum(0)
-        return loss, [gw1, gb1, gw2, gb2]
+    def val_loss() -> float:
+        return _mse(forward_layers(layers, Q_valid)[0], T_valid)[0]
 
-    log: list[TrainLogRow] = []
-    best = (np.inf, [v.copy() for v in plist])
-    n = Q_train.shape[0]
-    for epoch in range(hyper.epochs):
-        rng = make_rng(hyper.seed, STREAM_SHUFFLE, epoch)
-        total, count = 0.0, 0
-        for batch in _batches(n, hyper.batch_size, rng):
-            loss, grads = mse_and_grads(Q_train[batch], T_train[batch])
-            plist = adam_step(adam, plist, grads)
-            l1.weight, l1.bias, l2.weight, l2.bias = plist
-            total += loss * batch.size
-            count += batch.size
-        if Q_valid.shape[0]:
-            diff = _two_layer_forward(l1, l2, Q_valid) - T_valid
-            vl = float(np.mean(diff * diff))
-        else:
-            vl = float("nan")
-        log.append(TrainLogRow(epoch=epoch, train_loss=total / count, val_loss=vl))
-        if np.isfinite(vl) and vl < best[0]:
-            best = (vl, [v.copy() for v in plist])
-    if np.isfinite(best[0]):
-        l1.weight, l1.bias, l2.weight, l2.bias = best[1]
-    return l1, l2, log
+    log = _fit(
+        _layer_params(layers),
+        lambda values: _assign_layers(layers, values),
+        lambda batch: _regressor_objective(layers, Q_train[batch], T_train[batch]),
+        val_loss if Q_valid.shape[0] else None,
+        Q_train.shape[0],
+        hyper,
+    )
+    return layers[0], layers[1], log
 
 
 def train_cost_predictor(
@@ -672,7 +672,7 @@ def train_cost_predictor(
 def predict_costs(cp: CostPredictorParams, Q: np.ndarray) -> np.ndarray:
     """De-standardized cost predictions, floored at the smallest positive float."""
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
-    y = _two_layer_forward(cp.hidden_layer, cp.output_layer, Q)
+    y, _ = forward_layers([cp.hidden_layer, cp.output_layer], Q)
     return np.maximum(y * cp.target_std + cp.target_mean, COST_FLOOR)
 
 
@@ -769,9 +769,8 @@ def router_scores(
     if isinstance(router, EquiRouterParams):
         return scores_batch(router, table.embeddings[indices])
     if isinstance(router, MlpRouterParams):
-        return _two_layer_forward(
-            router.hidden_layer, router.output_layer, table.embeddings[indices]
-        )
+        layers = [router.hidden_layer, router.output_layer]
+        return forward_layers(layers, table.embeddings[indices])[0]
     if isinstance(router, KnnRouterParams):
         return knn_scores(router, table, table.embeddings[indices])
     raise TypeError(f"unknown router type {type(router)!r}")
@@ -836,16 +835,8 @@ def save_router(path: Path | str, router: Router) -> None:
         save_checkpoint(path, header, params_list(router))
     elif isinstance(router, MlpRouterParams):
         header = {"router_type": "mlp", "hyper": _hyper_dict(router.hyper)}
-        save_checkpoint(
-            path,
-            header,
-            [
-                router.hidden_layer.weight,
-                router.hidden_layer.bias,
-                router.output_layer.weight,
-                router.output_layer.bias,
-            ],
-        )
+        layers = [router.hidden_layer, router.output_layer]
+        save_checkpoint(path, header, _layer_params(layers))
     elif isinstance(router, KnnRouterParams):
         header = {
             "router_type": "knn",
@@ -862,17 +853,9 @@ def save_router(path: Path | str, router: Router) -> None:
 
 def save_cost_predictor(path: Path | str, cp: CostPredictorParams) -> None:
     header = {"router_type": "cost", "hyper": _hyper_dict(cp.hyper)}
+    layers = [cp.hidden_layer, cp.output_layer]
     save_checkpoint(
-        path,
-        header,
-        [
-            cp.hidden_layer.weight,
-            cp.hidden_layer.bias,
-            cp.output_layer.weight,
-            cp.output_layer.bias,
-            cp.target_mean,
-            cp.target_std,
-        ],
+        path, header, [*_layer_params(layers), cp.target_mean, cp.target_std]
     )
 
 

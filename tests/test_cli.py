@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,15 @@ from equirouter.cli import (
     main,
     parse_config_text,
 )
-from equirouter.dataset import load_split, load_table, make_split, save_split, save_table
+from equirouter.dataset import (
+    SynthConfig,
+    generate_synthetic,
+    load_split,
+    load_table,
+    make_split,
+    save_split,
+    save_table,
+)
 from equirouter.router import save_router
 
 from conftest import constant_policy_router, make_table
@@ -160,6 +169,56 @@ def test_cmd_train_deterministic_checkpoints(tmp_path):
 def test_cmd_train_oracle_rejected(tmp_path):
     cfg = write_config(tmp_path, SYNTH_CONFIG, router="oracle")
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+
+
+DIVERGING_CONFIG = """
+synth.n_queries = 600
+synth.n_models = 4
+synth.embed_dim = 8
+synth.tie_fraction = 0.5
+synth.seed = 1
+train.lr = 1e6
+train.epochs = 8
+train.batch_size = 64
+train.latent_dim = 16
+"""
+
+
+@pytest.mark.parametrize(
+    "router, reason",
+    [
+        ("mse", r"parameter \d+ \(canonical order\) is not finite"),
+        ("equirouter", r"validation loss is nan"),
+    ],
+    ids=["mse", "equirouter"],
+)
+def test_cmd_train_nonfinite_training_exits_2(tmp_path, capsys, router, reason):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, DIVERGING_CONFIG, router=router, out=out)
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", cfg]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert re.search(r"training diverged at epoch \d+: " + reason, err), err
+    assert not (out / f"{router}.ckpt").exists()
+    assert not (out / "train_log.csv").exists()
+
+
+@pytest.mark.parametrize("split_n, table_n", [(100, 300), (300, 100)])
+def test_split_that_does_not_cover_the_table_is_rejected(
+    tmp_path, capsys, split_n, table_n
+):
+    table = generate_synthetic(
+        SynthConfig(n_queries=table_n, n_models=3, embed_dim=4, noise_seed=0)
+    )
+    tdir = tmp_path / "table"
+    save_table(table, tdir)
+    save_split(make_split(split_n, (3, 1, 6), 42), tdir / "split.json")
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, "router = oracle\ngrid_points = 10\n", table=tdir, out=out)
+    assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"partitions {split_n} queries but the table has {table_n}" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ from equirouter.router import (
     EquiHyper,
     MlpHyper,
     OracleRouter,
+    _assign_layers,
+    _init_two_layer,
+    _layer_params,
+    _regressor_objective,
     assign_params,
     build_pair_set,
     build_pairs,
@@ -265,6 +269,21 @@ def test_mse_objective_gradients_match_fd():
         return mse_objective(p, t.embeddings, t.perf)
 
     report = grad_check(fn, params_list(p), h=1e-5, rel_tol=1e-4)
+    assert report.passed, report
+
+
+def test_regressor_objective_gradients_match_fd():
+    # the objective the cost predictor and the MLP baseline train on
+    t = generate_synthetic(
+        SynthConfig(n_queries=4, n_models=3, embed_dim=6, tie_fraction=0.5, noise_seed=3)
+    )
+    layers = list(_init_two_layer(MlpHyper(d_q=6, n_models=3, hidden=8, seed=9)))
+
+    def fn(plist):
+        _assign_layers(layers, plist)
+        return _regressor_objective(layers, t.embeddings, t.perf)
+
+    report = grad_check(fn, _layer_params(layers), h=1e-5, rel_tol=1e-4)
     assert report.passed, report
 
 
