@@ -1,40 +1,47 @@
 """Experiment command line: synth, train, sweep, diagnose, pipeline.
 
 Every run is described by a flat key=value config file; any CLI flag
-overrides the corresponding config key. Commands validate the whole config
+overrides the corresponding config key. Commands read and check every input
 before touching the filesystem, and all outputs are byte-deterministic for a
 fixed config, so reruns can be compared with `cmp`.
 
-Config keys (defaults in parentheses):
+Config keys (defaults in parentheses; parsers in CONFIG_KEYS, SYNTH_KEYS and
+THRESHOLD_KEYS):
 
-    table                  path to an existing table directory (exclusive
-                           with the synth.* keys)
-    synth.n_queries        (5000)   synthetic generator knobs
-    synth.n_models         (6)
-    synth.embed_dim        (32)
-    synth.tie_fraction     (0.95)
-    synth.margin_scale     (0.2)
-    synth.cost_spread      (50.0)
-    synth.seed             (0)
-    split.ratio            (3:1:6)
-    split.seed             (42)
-    router                 (equirouter) one of oracle, equirouter,
-                           equirouter-nojoint, mse, knn, mlp
-    cost_source            (predicted) or oracle
-    grid_points            (100)
-    out                    (out) output directory
-    train.latent_dim       (128)    train.model_dim  (64)
-    train.hidden           (64)     hidden width of MLP-style regressors
-    train.lr               (0.001)  train.epochs (30)  train.batch_size (2048)
-    train.weight_decay     (0.0001) train.seed (0)
-    knn.k                  (50)
-    diagnose.sigmas        (0,0.05,0.1,0.2,0.4)
+    table                       path to an existing table directory
+                                (exclusive with the synth.* keys)
+    synth.n_queries             synthetic generator knobs; defaults and
+    synth.n_models              meaning in dataset.SynthConfig, with
+    synth.embed_dim             synth.seed its noise_seed
+    synth.tie_fraction
+    synth.margin_scale
+    synth.cost_spread
+    synth.seed
+    split.ratio                 (3:1:6)
+    split.seed                  (42)
+    router                      (equirouter) one of oracle, equirouter,
+                                equirouter-nojoint, mse, knn, mlp
+    cost_source                 (predicted) or oracle; the oracle router
+                                always reads true costs
+    grid_points                 (100)
+    out                         (out) output directory
+    train.latent_dim            (128)
+    train.model_dim             (64)
+    train.hidden                (64) hidden width of MLP-style regressors
+    train.lr                    (0.001)
+    train.epochs                (30)
+    train.batch_size            (2048)
+    train.weight_decay          (0.0001)
+    train.seed                  (0)
+    knn.k                       (50)
+    diagnose.sigmas             (0,0.05,0.1,0.2,0.4)
     diagnose.margin_thresholds  (0,0.001,0.01,0.05)
-    threshold.min_nauc     optional metric gates; violations exit with code 3
-    threshold.max_rci
+    threshold.min_nauc          optional metric gates; violations exit with
+    threshold.max_rci           code 3
     threshold.max_qnc_relative
 
-Exit codes: 0 success, 1 validation error, 2 runtime/numerics error,
+Exit codes: 0 success, 1 invalid config or input (a table, split.json or
+checkpoint that does not fit; nothing is written), 2 runtime/numerics error,
 3 metric threshold violated.
 """
 
@@ -43,8 +50,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +106,7 @@ class ExperimentConfig:
     knn_k: int = 50
     sigmas: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.4)
     margin_thresholds: tuple[float, ...] = (0.0, 1e-3, 1e-2, 5e-2)
-    thresholds: dict = field(default_factory=dict)
+    thresholds: dict = field(default_factory=dict)  # threshold key -> limit
 
     def validate(self) -> None:
         if self.router not in ROUTER_KINDS:
@@ -124,9 +132,6 @@ class ExperimentConfig:
             raise ConfigError("train.epochs and train.batch_size must be >= 1")
         if sorted(self.margin_thresholds) != list(self.margin_thresholds):
             raise ConfigError("diagnose.margin_thresholds must be sorted ascending")
-        for key in self.thresholds:
-            if key not in ("min_nauc", "max_rci", "max_qnc_relative"):
-                raise ConfigError(f"unknown threshold key {key!r}")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -145,7 +150,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 def _parse_ratio(text: str) -> tuple[float, float, float]:
     parts = [p for p in text.replace(":", ",").split(",") if p != ""]
     if len(parts) != 3:
-        raise ConfigError(f"split.ratio must have 3 parts, got {text!r}")
+        raise ValueError(f"must have 3 parts, got {text!r}")
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
 
 
@@ -153,70 +158,57 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p != "")
 
 
+# config key -> (ExperimentConfig field, value parser)
+CONFIG_KEYS = {
+    "table": ("table", str),
+    "split.ratio": ("split_ratio", _parse_ratio),
+    "split.seed": ("split_seed", int),
+    "router": ("router", str),
+    "cost_source": ("cost_source", str),
+    "grid_points": ("grid_points", int),
+    "out": ("out", str),
+    "train.latent_dim": ("latent_dim", int),
+    "train.model_dim": ("model_dim", int),
+    "train.hidden": ("hidden", int),
+    "train.lr": ("lr", float),
+    "train.epochs": ("epochs", int),
+    "train.batch_size": ("batch_size", int),
+    "train.weight_decay": ("weight_decay", float),
+    "train.seed": ("train_seed", int),
+    "knn.k": ("knn_k", int),
+    "diagnose.sigmas": ("sigmas", _parse_floats),
+    "diagnose.margin_thresholds": ("margin_thresholds", _parse_floats),
+}
+# synth.* key -> (SynthConfig field, parser of the field's type)
+SYNTH_KEYS = {
+    "synth." + ("seed" if f.name == "noise_seed" else f.name): (f.name, type(f.default))
+    for f in fields(SynthConfig)
+}
+# threshold key -> (metric, comparison that violates the gate, its sign)
+THRESHOLD_KEYS = {
+    "threshold.min_nauc": ("nauc", operator.lt, "<"),
+    "threshold.max_rci": ("rci", operator.gt, ">"),
+    "threshold.max_qnc_relative": ("qnc_relative", operator.gt, ">"),
+}
+
+
 def build_config(values: dict[str, str]) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    synth_keys = {}
-    try:
-        for key, val in values.items():
-            if key == "table":
-                cfg.table = val
-            elif key.startswith("synth."):
-                synth_keys[key.removeprefix("synth.")] = val
-            elif key == "split.ratio":
-                cfg.split_ratio = _parse_ratio(val)
-            elif key == "split.seed":
-                cfg.split_seed = int(val)
-            elif key == "router":
-                cfg.router = val
-            elif key == "cost_source":
-                cfg.cost_source = val
-            elif key == "grid_points":
-                cfg.grid_points = int(val)
-            elif key == "out":
-                cfg.out = val
-            elif key == "train.latent_dim":
-                cfg.latent_dim = int(val)
-            elif key == "train.model_dim":
-                cfg.model_dim = int(val)
-            elif key == "train.hidden":
-                cfg.hidden = int(val)
-            elif key == "train.lr":
-                cfg.lr = float(val)
-            elif key == "train.epochs":
-                cfg.epochs = int(val)
-            elif key == "train.batch_size":
-                cfg.batch_size = int(val)
-            elif key == "train.weight_decay":
-                cfg.weight_decay = float(val)
-            elif key == "train.seed":
-                cfg.train_seed = int(val)
-            elif key == "knn.k":
-                cfg.knn_k = int(val)
-            elif key == "diagnose.sigmas":
-                cfg.sigmas = _parse_floats(val)
-            elif key == "diagnose.margin_thresholds":
-                cfg.margin_thresholds = _parse_floats(val)
-            elif key.startswith("threshold."):
-                cfg.thresholds[key.removeprefix("threshold.")] = float(val)
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-        if synth_keys:
-            cfg.synth = SynthConfig(
-                n_queries=int(synth_keys.pop("n_queries", 5000)),
-                n_models=int(synth_keys.pop("n_models", 6)),
-                embed_dim=int(synth_keys.pop("embed_dim", 32)),
-                tie_fraction=float(synth_keys.pop("tie_fraction", 0.95)),
-                margin_scale=float(synth_keys.pop("margin_scale", 0.2)),
-                cost_spread=float(synth_keys.pop("cost_spread", 50.0)),
-                noise_seed=int(synth_keys.pop("seed", 0)),
-            )
-            if synth_keys:
-                raise ConfigError(f"unknown synth keys: {sorted(synth_keys)}")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+    settings: dict = {"thresholds": {}}
+    synth: dict = {}
+    for key, text in values.items():
+        if key in CONFIG_KEYS:
+            (name, parse), target = CONFIG_KEYS[key], settings
+        elif key in SYNTH_KEYS:
+            (name, parse), target = SYNTH_KEYS[key], synth
+        elif key in THRESHOLD_KEYS:
+            name, parse, target = key, float, settings["thresholds"]
+        else:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            target[name] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return ExperimentConfig(**settings, synth=SynthConfig(**synth) if synth else None)
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -226,20 +218,14 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         if not path.is_file():
             raise ConfigError(f"config file not found: {args.config}")
         values.update(parse_config_text(path.read_text()))
-    # CLI flags override config keys
-    overrides = {
-        "table": args.table,
-        "router": args.router,
-        "cost_source": args.cost_source,
-        "grid_points": args.grid_points,
-        "out": args.out,
-        "train.seed": args.seed,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = str(val)
+    # CLI flags override config keys: each flag's dest is its key
+    for key in CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            values[key] = str(getattr(args, key))
     cfg = build_config(values)
     cfg.validate()
+    if cfg.router == "oracle":  # it routes on true costs: no cost predictor
+        cfg.cost_source = "oracle"
     return cfg
 
 
@@ -247,28 +233,79 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 # shared plumbing
 
 
-def _resolve_table(cfg: ExperimentConfig) -> RoutingTable:
+def _read_inputs(cfg: ExperimentConfig) -> tuple[RoutingTable, SplitIndices, bool]:
+    """Read and check the table and its split; writes nothing.
+
+    The split is the table directory's split.json or, when there is none, one
+    made from split.ratio/split.seed; the flag is True for a made split,
+    which `_open_out` writes.
+    """
     try:
-        if cfg.table is not None:
-            return load_table(cfg.table)
-        return generate_synthetic(cfg.synth)
+        table = generate_synthetic(cfg.synth) if cfg.table is None else load_table(cfg.table)
     except (ValueError, FileNotFoundError) as exc:
         raise ConfigError(f"invalid table: {exc}") from exc
+    split_path = Path(cfg.table or ".", "split.json")  # only read for a table directory
+    if cfg.table is None or not split_path.is_file():
+        return table, make_split(table.n_queries, cfg.split_ratio, cfg.split_seed), True
+    try:
+        split = load_split(split_path)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"invalid {split_path}: {exc}") from exc
+    n_split = len(split.train) + len(split.valid) + len(split.test)
+    if n_split != table.n_queries:
+        raise ConfigError(
+            f"split.json partitions {n_split} queries but the table has {table.n_queries}"
+        )
+    return table, split, False
 
 
-def _resolve_split(cfg: ExperimentConfig, table: RoutingTable, out: Path) -> SplitIndices:
-    if cfg.table is not None and (Path(cfg.table) / "split.json").is_file():
-        split = load_split(Path(cfg.table) / "split.json")
-        n_split = len(split.train) + len(split.valid) + len(split.test)
-        if n_split != table.n_queries:
+def _open_out(cfg: ExperimentConfig, split: SplitIndices, made: bool) -> Path:
+    """Create the output directory and write a made split into it."""
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if made:
+        save_split(split, out / "split.json")
+    return out
+
+
+def _load_checked(path: Path | str, tag: str, table: RoutingTable):
+    """Load a checkpoint, refusing one of another kind or sized for another table."""
+    try:
+        model = rt.load_router(path)
+    except ValueError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from exc
+    if model.tag != tag:
+        raise ConfigError(f"checkpoint {path} holds router_type {model.tag!r}, expected {tag!r}")
+    hyper = getattr(model, "hyper", None)
+    for name, want in (("d_q", table.embed_dim), ("n_models", table.n_models)):
+        if hyper is not None and getattr(hyper, name) != want:
             raise ConfigError(
-                f"split.json partitions {n_split} queries but the table has "
-                f"{table.n_queries}"
+                f"checkpoint {path} has {name}={getattr(hyper, name)} "
+                f"but the table has {name}={want}"
             )
-        return split
-    split = make_split(table.n_queries, cfg.split_ratio, cfg.split_seed)
-    save_split(split, out / "split.json")
-    return split
+    rows = getattr(model, "train_indices", ())
+    if rows and not 0 <= min(rows) <= max(rows) < table.n_queries:
+        raise ConfigError(
+            f"checkpoint {path} trains on query rows {min(rows)}..{max(rows)} "
+            f"but the table has {table.n_queries} queries"
+        )
+    return model
+
+
+def _load_checkpoints(cfg: ExperimentConfig, checkpoint: str | None, table: RoutingTable):
+    """The router `sweep` evaluates and, for predicted costs, the cost
+    predictor saved next to it: (router, cost predictor or None)."""
+    if cfg.router == "oracle":
+        return rt.OracleRouter(), None
+    if checkpoint is None:
+        raise ConfigError("sweep needs --checkpoint for trained routers")
+    router = _load_checked(checkpoint, cfg.router.replace("-", "_"), table)
+    if cfg.cost_source == "oracle":
+        return router, None
+    cp_path = Path(checkpoint).parent / "cost.ckpt"
+    if not cp_path.is_file():
+        raise ConfigError("cost_source=predicted needs cost.ckpt next to the checkpoint")
+    return router, _load_checked(cp_path, "cost", table)
 
 
 def _mlp_hyper(cfg: ExperimentConfig, table: RoutingTable) -> rt.MlpHyper:
@@ -318,19 +355,53 @@ def _write_train_log(log, path: Path) -> None:
             w.writerow([row.epoch, repr(row.train_loss), repr(row.val_loss)])
 
 
-def _check_thresholds(cfg: ExperimentConfig, summary: ev.MetricsSummary) -> list[str]:
-    failures = []
-    t = cfg.thresholds
-    if "min_nauc" in t and summary.nauc < t["min_nauc"]:
-        failures.append(f"nauc {summary.nauc:.6f} < min_nauc {t['min_nauc']}")
-    if "max_rci" in t and summary.rci > t["max_rci"]:
-        failures.append(f"rci {summary.rci:.6f} > max_rci {t['max_rci']}")
-    if "max_qnc_relative" in t:
-        rel = summary.qnc_relative
-        if rel is None or rel > t["max_qnc_relative"]:
-            shown = "/" if rel is None else f"{rel:.6f}"
-            failures.append(f"qnc_relative {shown} > max_qnc_relative {t['max_qnc_relative']}")
-    return failures
+def _train_and_save(cfg: ExperimentConfig, table: RoutingTable, split: SplitIndices, out: Path):
+    """Train the router and, for predicted costs, the cost predictor; write
+    each checkpoint (the oracle has none) and training log.
+    Returns (router, cost predictor or None)."""
+    router, log = _train_router(cfg, table, split)
+    if cfg.router != "oracle":
+        rt.save_router(out / f"{cfg.router}.ckpt", router)
+    if log is not None:
+        _write_train_log(log, out / "train_log.csv")
+    cost_predictor = None
+    if cfg.cost_source == "predicted":
+        cost_predictor, cost_log = rt.train_cost_predictor(table, split, _mlp_hyper(cfg, table))
+        rt.save_cost_predictor(out / "cost.ckpt", cost_predictor)
+        _write_train_log(cost_log, out / "cost_train_log.csv")
+    return router, cost_predictor
+
+
+def _sweep_and_report(
+    cfg: ExperimentConfig,
+    table: RoutingTable,
+    split: SplitIndices,
+    router,
+    cost_predictor,
+    out: Path,
+) -> int:
+    """Sweep the test split, write curve.csv, rci_detail.csv and metrics.json,
+    print the metrics and apply the threshold.* gates; returns the exit code."""
+    test_idx = np.asarray(split.test, dtype=np.int64)
+    grid = ev.budget_grid(table, test_idx, cfg.grid_points)
+    curve = ev.sweep(router, table, test_idx, grid, cfg.cost_source, cost_predictor)
+    report = ev.rci(table, curve.unlimited_choices, test_idx)
+    # written before the metrics, which raise on a curve of one cost: a
+    # router that collapses onto one model still leaves its evidence
+    ev.write_curve_csv(curve, out / "curve.csv")
+    ev.write_rci_csv(report, out / "rci_detail.csv")
+    summary = ev.metrics_summary(curve, table, test_idx, report)
+    ev.write_metrics_json(summary, out / "metrics.json")
+    print(json.dumps(ev.metrics_to_dict(summary), sort_keys=True))
+    code = EXIT_OK
+    for key, (metric, violates, sign) in THRESHOLD_KEYS.items():
+        value, limit = getattr(summary, metric), cfg.thresholds.get(key)
+        if limit is not None and (value is None or violates(value, limit)):
+            shown = "/" if value is None else f"{value:.6f}"
+            gate = key.removeprefix("threshold.")
+            print(f"threshold violated: {metric} {shown} {sign} {gate} {limit}", file=sys.stderr)
+            code = EXIT_THRESHOLD
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +411,9 @@ def _check_thresholds(cfg: ExperimentConfig, summary: ev.MetricsSummary) -> list
 def cmd_synth(cfg: ExperimentConfig) -> int:
     if cfg.synth is None:
         raise ConfigError("synth command needs synth.* config keys")
-    out = Path(cfg.out)
-    table = generate_synthetic(cfg.synth)
-    split = make_split(table.n_queries, cfg.split_ratio, cfg.split_seed)
-    out.mkdir(parents=True, exist_ok=True)
+    table, split, made = _read_inputs(cfg)
+    out = _open_out(cfg, split, made)
     save_table(table, out)
-    save_split(split, out / "split.json")
 
     full_budget = float(table.cost.max())
     stats = margin_stats(table, full_budget, [0.0])
@@ -366,78 +434,23 @@ def cmd_synth(cfg: ExperimentConfig) -> int:
 def cmd_train(cfg: ExperimentConfig) -> int:
     if cfg.router == "oracle":
         raise ConfigError("the oracle router has no parameters to train")
-    table = _resolve_table(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    split = _resolve_split(cfg, table, out)
-    router, log = _train_router(cfg, table, split)
-    rt.save_router(out / f"{cfg.router}.ckpt", router)
-    if log is not None:
-        _write_train_log(log, out / "train_log.csv")
-    if cfg.cost_source == "predicted":
-        cp, cost_log = rt.train_cost_predictor(table, split, _mlp_hyper(cfg, table))
-        rt.save_cost_predictor(out / "cost.ckpt", cp)
-        _write_train_log(cost_log, out / "cost_train_log.csv")
+    table, split, made = _read_inputs(cfg)
+    out = _open_out(cfg, split, made)
+    _train_and_save(cfg, table, split, out)
     print(f"wrote checkpoint {out / (cfg.router + '.ckpt')}")
     return EXIT_OK
 
 
-def _sweep_outputs(
-    cfg: ExperimentConfig,
-    table: RoutingTable,
-    split: SplitIndices,
-    router,
-    cost_predictor,
-    out: Path,
-) -> ev.MetricsSummary:
-    test_idx = np.asarray(split.test, dtype=np.int64)
-    grid = ev.budget_grid(table, test_idx, cfg.grid_points)
-    cost_source = "oracle" if cfg.router == "oracle" else cfg.cost_source
-    curve = ev.sweep(router, table, test_idx, grid, cost_source, cost_predictor)
-    report = ev.rci(table, curve.unlimited_choices, test_idx)
-    # written before the metrics, which raise on a curve of one cost: a
-    # router that collapses onto one model still leaves its evidence
-    ev.write_curve_csv(curve, out / "curve.csv")
-    ev.write_rci_csv(report, out / "rci_detail.csv")
-    summary = ev.metrics_summary(curve, table, test_idx, report)
-    ev.write_metrics_json(summary, out / "metrics.json")
-    return summary
-
-
 def cmd_sweep(cfg: ExperimentConfig, checkpoint: str | None) -> int:
-    table = _resolve_table(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    split = _resolve_split(cfg, table, out)
-
-    if cfg.router == "oracle":
-        router: rt.Router = rt.OracleRouter()
-    elif checkpoint is not None:
-        router = rt.load_router(checkpoint)
-    else:
-        raise ConfigError("sweep needs --checkpoint for trained routers")
-    cost_predictor = None
-    if cfg.cost_source == "predicted" and cfg.router != "oracle":
-        cp_path = Path(checkpoint).parent / "cost.ckpt" if checkpoint else None
-        if cp_path is None or not cp_path.is_file():
-            raise ConfigError("cost_source=predicted needs cost.ckpt next to the checkpoint")
-        cost_predictor = rt.load_router(cp_path)
-
-    summary = _sweep_outputs(cfg, table, split, router, cost_predictor, out)
-    print(json.dumps(ev.metrics_to_dict(summary), sort_keys=True))
-    failures = _check_thresholds(cfg, summary)
-    if failures:
-        for f in failures:
-            print(f"threshold violated: {f}", file=sys.stderr)
-        return EXIT_THRESHOLD
-    return EXIT_OK
+    table, split, made = _read_inputs(cfg)
+    router, cost_predictor = _load_checkpoints(cfg, checkpoint, table)
+    out = _open_out(cfg, split, made)
+    return _sweep_and_report(cfg, table, split, router, cost_predictor, out)
 
 
 def cmd_diagnose(cfg: ExperimentConfig) -> int:
-    table = _resolve_table(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    split = _resolve_split(cfg, table, out)
+    table, split, made = _read_inputs(cfg)
+    out = _open_out(cfg, split, made)
     test_idx = np.asarray(split.test, dtype=np.int64)
 
     full_budget = float(table.cost[test_idx].max())
@@ -450,15 +463,12 @@ def cmd_diagnose(cfg: ExperimentConfig) -> int:
     ev.write_noise_csv(rows, out / "noise.csv")
 
     grid = ev.budget_grid(table, test_idx, cfg.grid_points)
-    router, _ = _train_router(cfg, table, split) if cfg.router != "oracle" else (rt.OracleRouter(), None)
+    router, _ = _train_router(cfg, table, split)
     curve = ev.sweep(router, table, test_idx, grid, "oracle")
     ev.write_callrates_csv(ev.call_rate_curve(curve), out / "callrates.csv")
 
     def train_fn(tbl, train_idx, valid_idx):
-        if cfg.router == "oracle":
-            return rt.OracleRouter()
-        trained, _ = _train_router(cfg, tbl, (train_idx, valid_idx))
-        return trained
+        return _train_router(cfg, tbl, (train_idx, valid_idx))[0]
 
     summary, _ = ev.training_set_eval(train_fn, table, n_points=cfg.grid_points)
     (out / "trainset_metrics.json").write_text(
@@ -469,34 +479,12 @@ def cmd_diagnose(cfg: ExperimentConfig) -> int:
 
 
 def cmd_pipeline(cfg: ExperimentConfig) -> int:
-    table = _resolve_table(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    table, split, made = _read_inputs(cfg)
+    out = _open_out(cfg, split, made)
     if cfg.synth is not None:
         save_table(table, out / "table")
-    split = _resolve_split(cfg, table, out)
-
-    if cfg.router == "oracle":
-        router: rt.Router = rt.OracleRouter()
-    else:
-        router, log = _train_router(cfg, table, split)
-        rt.save_router(out / f"{cfg.router}.ckpt", router)
-        if log is not None:
-            _write_train_log(log, out / "train_log.csv")
-    cost_predictor = None
-    if cfg.cost_source == "predicted" and cfg.router != "oracle":
-        cost_predictor, cost_log = rt.train_cost_predictor(table, split, _mlp_hyper(cfg, table))
-        rt.save_cost_predictor(out / "cost.ckpt", cost_predictor)
-        _write_train_log(cost_log, out / "cost_train_log.csv")
-
-    summary = _sweep_outputs(cfg, table, split, router, cost_predictor, out)
-    print(json.dumps(ev.metrics_to_dict(summary), sort_keys=True))
-    failures = _check_thresholds(cfg, summary)
-    if failures:
-        for f in failures:
-            print(f"threshold violated: {f}", file=sys.stderr)
-        return EXIT_THRESHOLD
-    return EXIT_OK
+    router, cost_predictor = _train_and_save(cfg, table, split, out)
+    return _sweep_and_report(cfg, table, split, router, cost_predictor, out)
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +504,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("diagnose", "margin stats, noise curves, training-set eval, call rates"),
         ("pipeline", "synth/load + train + sweep in one run"),
     ):
+        # each override's dest is its config key
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--table", help="table directory (overrides config)")
         p.add_argument("--router", choices=ROUTER_KINDS)
         p.add_argument("--cost-source", dest="cost_source", choices=("predicted", "oracle"))
         p.add_argument("--grid-points", dest="grid_points", type=int)
-        p.add_argument("--seed", type=int, help="training seed override")
+        p.add_argument("--seed", dest="train.seed", type=int, help="training seed override")
         p.add_argument("--out", help="output directory")
         if name == "sweep":
             p.add_argument("--checkpoint", help="router checkpoint to evaluate")
@@ -538,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "sweep":
-            return cmd_sweep(cfg, getattr(args, "checkpoint", None))
+            return cmd_sweep(cfg, args.checkpoint)
         if args.command == "diagnose":
             return cmd_diagnose(cfg)
         if args.command == "pipeline":

@@ -7,12 +7,18 @@ import pytest
 
 import equirouter.evaluation as evaluation_module
 import equirouter.router as router_module
+import equirouter.cli as cli_module
 from equirouter.cli import (
+    CONFIG_KEYS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_THRESHOLD,
+    SYNTH_KEYS,
+    THRESHOLD_KEYS,
     build_config,
+    build_parser,
+    load_config,
     main,
     parse_config_text,
 )
@@ -105,6 +111,33 @@ def test_validation_happens_before_any_write(tmp_path):
     cfg_path = write_config(tmp_path, SYNTH_CONFIG, **{"grid_points": 1, "out": out})
     assert main(["pipeline", "--config", cfg_path]) == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_config_value_error_names_its_key(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, SYNTH_CONFIG, **{"train.epochs": "ten", "out": out})
+    assert main(["pipeline", "--config", cfg_path]) == EXIT_CONFIG
+    assert "error: train.epochs: invalid literal" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flags_override_their_config_keys(tmp_path):
+    cfg_path = write_config(tmp_path, SYNTH_CONFIG, out=tmp_path / "cfg-out")
+    flags = ["--router", "knn", "--cost-source", "oracle", "--grid-points", "7",
+             "--seed", "5", "--out", "flag-out"]
+    cfg = load_config(build_parser().parse_args(["sweep", "--config", cfg_path, *flags]))
+    assert (cfg.router, cfg.cost_source, cfg.grid_points, cfg.train_seed, cfg.out) == (
+        "knn", "oracle", 7, 5, "flag-out"
+    )
+    # the oracle reads true costs whatever cost_source says
+    args = ["sweep", "--config", cfg_path, "--router", "oracle", "--cost-source", "predicted"]
+    assert load_config(build_parser().parse_args(args)).cost_source == "oracle"
+
+
+def test_module_docstring_lists_exactly_the_config_keys():
+    section = cli_module.__doc__.split("Config keys")[1].split("Exit codes")[0]
+    documented = re.findall(r"^    (\S+)", section, re.MULTILINE)
+    assert sorted(documented) == sorted({*CONFIG_KEYS, *SYNTH_KEYS, *THRESHOLD_KEYS})
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +236,54 @@ def test_cmd_train_nonfinite_training_exits_2(tmp_path, capsys, router, reason):
     assert not (out / "train_log.csv").exists()
 
 
-@pytest.mark.parametrize("split_n, table_n", [(100, 300), (300, 100)])
+def _save_split_of(n):
+    return lambda path: save_split(make_split(n, (3, 1, 6), 42), path)
+
+
+def _save_overlapping_split(path):
+    # a training query copied into the test part
+    _save_split_of(300)(path)
+    payload = json.loads(path.read_text())
+    payload["test"].append(payload["train"][0])
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "write_split, table_n, error",
+    [
+        pytest.param(
+            _save_split_of(100), 300, "partitions 100 queries but the table has 300",
+            id="100-300",
+        ),
+        pytest.param(
+            _save_split_of(300), 100, "partitions 300 queries but the table has 100",
+            id="300-100",
+        ),
+        pytest.param(
+            _save_overlapping_split, 300,
+            "split.json: split parts must partition 0..N-1 exactly once",
+            id="not-a-partition",
+        ),
+        pytest.param(
+            lambda path: path.write_text("{bad"), 300,
+            "split.json: Expecting property name", id="bad-json",
+        ),
+    ],
+)
 def test_split_that_does_not_cover_the_table_is_rejected(
-    tmp_path, capsys, split_n, table_n
+    tmp_path, capsys, write_split, table_n, error
 ):
     table = generate_synthetic(
         SynthConfig(n_queries=table_n, n_models=3, embed_dim=4, noise_seed=0)
     )
     tdir = tmp_path / "table"
     save_table(table, tdir)
-    save_split(make_split(split_n, (3, 1, 6), 42), tdir / "split.json")
+    write_split(tdir / "split.json")
     out = tmp_path / "run"
     cfg = write_config(tmp_path, "router = oracle\ngrid_points = 10\n", table=tdir, out=out)
     assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"partitions {split_n} queries but the table has {table_n}" in err
+    assert error in err, err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -299,6 +365,92 @@ def test_cmd_sweep_full_collapse_still_writes_evidence(tmp_path, capsys):
     detail = (out / "rci_detail.csv").read_text().splitlines()
     assert len(detail) == n_test + 1
     assert {row.split(",")[1] for row in detail[1:]} == {"0"}
+
+
+SMALL_CONFIG = """
+synth.n_queries = 200
+synth.n_models = 4
+synth.embed_dim = 6
+synth.seed = 1
+grid_points = 10
+train.epochs = 2
+train.batch_size = 64
+train.latent_dim = 8
+train.model_dim = 4
+train.hidden = 8
+knn.k = 3
+"""
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """EquiRouter, kNN and cost checkpoints of a 200-query, K=4, 6-dim table,
+    plus a copy of the kNN checkpoint alone in `alone/`."""
+    root = tmp_path_factory.mktemp("small")
+    cfg = write_config(root, SMALL_CONFIG, cost_source="predicted", out=root / "run")
+    for router in ("equirouter", "knn"):
+        assert main(["train", "--config", cfg, "--router", router]) == EXIT_OK
+    (root / "alone").mkdir()
+    (root / "alone" / "knn.ckpt").write_bytes((root / "run" / "knn.ckpt").read_bytes())
+    return root
+
+
+@pytest.mark.parametrize(
+    "router, checkpoint, cost_source, table_keys, error",
+    [
+        pytest.param("mlp", None, "oracle", {}, "sweep needs --checkpoint", id="no-checkpoint"),
+        pytest.param(
+            "mlp", "run/nowhere.ckpt", "oracle", {}, "No such file", id="missing-checkpoint"
+        ),
+        pytest.param(
+            "knn", "alone/knn.ckpt", "predicted", {}, "needs cost.ckpt next to the checkpoint",
+            id="no-cost-checkpoint",
+        ),
+        pytest.param(
+            "mlp", "run/equirouter.ckpt", "oracle", {},
+            "equirouter.ckpt holds router_type 'equirouter', expected 'mlp'", id="router-kind",
+        ),
+        pytest.param(
+            "mlp", "run/cost.ckpt", "oracle", {},
+            "cost.ckpt holds router_type 'cost', expected 'mlp'", id="cost-as-router",
+        ),
+        pytest.param(
+            "equirouter-nojoint", "run/equirouter.ckpt", "oracle", {},
+            "holds router_type 'equirouter', expected 'equirouter_nojoint'", id="ablation-kind",
+        ),
+        pytest.param(
+            "equirouter", "run/equirouter.ckpt", "oracle", {"synth.n_models": 3},
+            "equirouter.ckpt has n_models=4 but the table has n_models=3", id="fewer-models",
+        ),
+        pytest.param(
+            "equirouter", "run/equirouter.ckpt", "oracle", {"synth.embed_dim": 5},
+            "equirouter.ckpt has d_q=6 but the table has d_q=5", id="fewer-dims",
+        ),
+        pytest.param(
+            "knn", "run/knn.ckpt", "oracle", {"synth.n_queries": 100},
+            "knn.ckpt trains on query rows 10..198 but the table has 100 queries",
+            id="knn-rows",
+        ),
+        pytest.param(
+            "knn", "run/knn.ckpt", "predicted", {"synth.n_models": 3},
+            "cost.ckpt has n_models=4 but the table has n_models=3", id="cost-models",
+        ),
+    ],
+)
+def test_sweep_rejects_bad_inputs_before_any_write(
+    tmp_path, capsys, small_run, router, checkpoint, cost_source, table_keys, error
+):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path, SMALL_CONFIG, router=router, cost_source=cost_source, out=out, **table_keys
+    )
+    argv = ["sweep", "--config", cfg]
+    if checkpoint is not None:
+        argv += ["--checkpoint", str(small_run / checkpoint)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert error in err, err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_sweep_and_pipeline_score_the_test_split_once(tmp_path, monkeypatch):
