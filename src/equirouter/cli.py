@@ -128,8 +128,15 @@ class ExperimentConfig:
                 raise ConfigError(f"invalid synth settings: {exc}") from exc
         if any(r <= 0 for r in self.split_ratio):
             raise ConfigError("split ratio parts must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("train.epochs and train.batch_size must be >= 1")
+        for key in ("train.epochs", "train.batch_size", "train.latent_dim",
+                    "train.model_dim", "train.hidden", "knn.k"):
+            value = getattr(self, CONFIG_KEYS[key][0])
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
+        if not self.lr > 0:  # NaN fails too
+            raise ConfigError(f"train.lr must be > 0, got {self.lr}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"train.weight_decay must be finite and >= 0, got {self.weight_decay}")
         if sorted(self.margin_thresholds) != list(self.margin_thresholds):
             raise ConfigError("diagnose.margin_thresholds must be sorted ascending")
 

@@ -2,8 +2,10 @@
 
 Everything runs in 64-bit floats. Layers are plain dataclasses over numpy
 arrays, and every network in the package backpropagates through `backward`:
-`forward_layers` records each layer's input on the way forward and
-`backward_layers` replays them in reverse. Parameters travel as flat lists
+`forward_layers` records each layer's input and output on the way forward
+and `backward_layers` replays them in reverse. A relu layer's backward reads
+its mask from the recorded output (y > 0 exactly where the pre-activation
+is > 0), so no pre-activation is recomputed. Parameters travel as flat lists
 of arrays in a fixed order so the optimizer, the gradient checker and the
 checkpoint format all agree on the coordinate layout. Initialization is
 uniform in +-sqrt(6 / (fan_in + fan_out)) from a seeded Philox stream;
@@ -69,22 +71,26 @@ def forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
 
 
 def backward(
-    layer: DenseLayer, x: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    layer: DenseLayer,
+    x: np.ndarray,
+    grad_out: np.ndarray,
+    out: np.ndarray | None = None,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Chain-rule gradients (grad_x, grad_weight, grad_bias).
 
-    Recomputes the pre-activation; relu uses subgradient 0 at exactly 0.
+    `out` is the layer's output as `forward` returned it (recomputed when
+    omitted); relu masks the gradient where out > 0, i.e. subgradient 0 at
+    exactly 0. grad_x is None when `input_grad` is False.
     """
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != (x.shape[0], layer.out_dim):
-        raise ValueError(
-            f"grad_out shape {grad_out.shape} incompatible with layer output"
-        )
+        raise ValueError(f"grad_out shape {grad_out.shape} incompatible with layer output")
     if layer.activation == "relu":
-        z = x @ layer.weight.T + layer.bias
-        grad_out = grad_out * (z > 0.0)
-    grad_x = grad_out @ layer.weight
+        out = forward(layer, x) if out is None else out
+        grad_out = grad_out * (out > 0.0)
+    grad_x = grad_out @ layer.weight if input_grad else None
     grad_w = grad_out.T @ x
     grad_b = grad_out.sum(axis=0)
     return grad_x, grad_w, grad_b
@@ -93,25 +99,30 @@ def backward(
 def forward_layers(
     layers: Sequence[DenseLayer], x: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Apply `layers` in order; returns the output and each layer's input."""
-    inputs = []
+    """Apply `layers` in order; returns the output and the activations
+    [input, output of layer 0, ..., output of the last layer]."""
+    acts = [x]
     for layer in layers:
-        inputs.append(x)
-        x = forward(layer, x)
-    return x, inputs
+        acts.append(forward(layer, acts[-1]))
+    return acts[-1], acts
 
 
 def backward_layers(
-    layers: Sequence[DenseLayer], inputs: Sequence[np.ndarray], grad_out: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Backprop through a `forward_layers` pass given the inputs it recorded.
+    layers: Sequence[DenseLayer],
+    acts: Sequence[np.ndarray],
+    grad_out: np.ndarray,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """Backprop through a `forward_layers` pass given its recorded activations.
 
-    Returns the gradient w.r.t. the stack's input and the flat list
-    [grad_weight, grad_bias, ...] in layer order.
+    Returns the gradient w.r.t. the stack's input (None, and not computed,
+    when `input_grad` is False) and [grad_weight, grad_bias, ...] in layer order.
     """
     grads: list[np.ndarray] = []
-    for layer, x in zip(reversed(layers), reversed(inputs)):
-        grad_out, grad_w, grad_b = backward(layer, x, grad_out)
+    for k in reversed(range(len(layers))):
+        grad_out, grad_w, grad_b = backward(
+            layers[k], acts[k], grad_out, acts[k + 1], input_grad or k > 0
+        )
         grads[:0] = [grad_w, grad_b]
     return grad_out, grads
 

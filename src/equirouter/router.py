@@ -17,6 +17,12 @@ matches the argmax decision made at deployment. The "no joint feature"
 ablation feeds [z_j, e_j] to the head; the "mse" ablation keeps the
 architecture but regresses s_j onto the raw performance values.
 
+The ordered pairs of a split are one dense precedence tensor W (N, K, K),
+W[n, i, j] = 1/|P_n| where i outranks j in query n, built once per split;
+batch loss, score gradient and validation loss are masked array ops over it.
+W takes N * K^2 * 8 bytes, about 1 MB for 1000 training queries over 11
+models; K <= 20 keeps it negligible.
+
 Dense layers backpropagate through `neuralnet.backward`; only the modulation
 and the interaction blocks are differentiated here. Every trainer runs the
 same epoch loop (`_fit`) and differs only in its batch objective and
@@ -196,7 +202,7 @@ def _forward_scores(p: EquiRouterParams, Q: np.ndarray):
     K = p.model_embeddings.shape[0]
     D = p.latent_dim
 
-    Z, trunk_inputs = forward_layers(p.trunk, Q)  # (B, D)
+    Z, trunk_acts = forward_layers(p.trunk, Q)  # (B, D)
 
     M = p.model_embeddings
     G = forward(p.film_proj, M)  # (K, 2D)
@@ -217,18 +223,18 @@ def _forward_scores(p: EquiRouterParams, Q: np.ndarray):
     else:
         H = np.concatenate([Zj, np.broadcast_to(E[None, :, :], (B, K, D))], axis=2)
 
-    h, head_inputs = forward_layers(p.score_head, H.reshape(B * K, -1))
-    cache = (trunk_inputs, Z, gamma, E, Zj, head_inputs)
+    h, head_acts = forward_layers(p.score_head, H.reshape(B * K, -1))
+    cache = (trunk_acts, Z, gamma, E, Zj, head_acts)
     return h.reshape(B, K), cache
 
 
 def _backward_scores(p: EquiRouterParams, cache, dS: np.ndarray) -> list[np.ndarray]:
     """Gradients of sum(dS * scores) w.r.t. every parameter, canonical order."""
-    trunk_inputs, Z, gamma, E, Zj, head_inputs = cache
+    trunk_acts, Z, gamma, E, Zj, head_acts = cache
     B, K = dS.shape
     D = p.latent_dim
 
-    dH, head_grads = backward_layers(p.score_head, head_inputs, dS.reshape(B * K, 1))
+    dH, head_grads = backward_layers(p.score_head, head_acts, dS.reshape(B * K, 1))
     dH = dH.reshape(B, K, -1)
 
     dZj = dH[:, :, :D].copy()
@@ -253,7 +259,7 @@ def _backward_scores(p: EquiRouterParams, cache, dS: np.ndarray) -> list[np.ndar
     dM_proj, proj_w_grad, proj_b_grad = backward(p.model_proj, M, dE)
     dM = dM + dM_proj
 
-    _, trunk_grads = backward_layers(p.trunk, trunk_inputs, dZ)
+    _, trunk_grads = backward_layers(p.trunk, trunk_acts, dZ, input_grad=False)
     return [
         dM, *trunk_grads, film_w_grad, film_b_grad, proj_w_grad, proj_b_grad, *head_grads
     ]
@@ -293,85 +299,72 @@ def per_query_mac_counts(p: EquiRouterParams) -> tuple[int, int]:
 # ranking supervision
 
 
-def build_pairs(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Ordered index pairs (i, j) with i ranked above j for one query.
+def _precedence(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Boolean (..., K, K): i outranks j iff a_i > a_j, or a_i == a_j and c_i < c_j."""
+    ai, aj = a[..., :, None], a[..., None, :]
+    return (ai > aj) | ((ai == aj) & (c[..., :, None] < c[..., None, :]))
 
-    i outranks j iff a_i > a_j, or a_i == a_j and c_i < c_j. Returned as an
-    (P, 2) int array; at most one direction per unordered pair, never (i,i).
-    """
+
+def build_pairs(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Ordered index pairs (i, j) with i ranked above j for one query: the
+    nonzero pattern of its precedence matrix, as a (P, 2) int array."""
     a = np.asarray(a, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     if a.shape != c.shape or a.ndim != 1:
         raise ValueError("performance and cost rows must be equal-length vectors")
-    better = a[:, None] > a[None, :]
-    cheaper_tie = (a[:, None] == a[None, :]) & (c[:, None] < c[None, :])
-    return np.argwhere(better | cheaper_tie)
+    return np.argwhere(_precedence(a, c))
 
 
-def build_pair_set(table: RoutingTable, indices: np.ndarray) -> list[np.ndarray]:
-    """Per-query ordered pair arrays for the given query indices."""
-    return [build_pairs(table.perf[n], table.cost[n]) for n in indices]
+def build_pair_set(table: RoutingTable, indices: np.ndarray) -> np.ndarray:
+    """Precedence weights (N, K, K) of the given queries: W[n, i, j] = 1/|P_n|
+    where i outranks j in query n (the `build_pairs` rule), else 0. A query's
+    matrix sums to 1, or is all zero when it has no ordered pair."""
+    P = _precedence(table.perf[indices], table.cost[indices])
+    return P / np.maximum(P.sum(axis=(1, 2)), 1)[:, None, None]
+
+
+def _pair_loss(S: np.ndarray, W: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """Mean over the n queries with any pair of sum_ij W_ij log(1 + exp(-t_ij)),
+    t_ij = s_i - s_j; returns (loss, t, n), loss 0 when n is 0."""
+    n = int(np.count_nonzero(W.any(axis=(1, 2))))
+    t = S[:, :, None] - S[:, None, :]
+    return (float(np.sum(W * np.logaddexp(0.0, -t))) / n if n else 0.0), t, n
 
 
 def ranking_loss(scores: np.ndarray, pairs: np.ndarray) -> float:
-    """Mean logistic pair loss (1/|P|) sum log(1 + exp(-(s_i - s_j))).
+    """Mean per-query logistic pair loss log(1 + exp(-(s_i - s_j))).
 
-    Stable via log1p-exp for score gaps up to ~1e3. An empty pair set
-    contributes 0 and is excluded from batch means by callers.
+    Scores (N, K) take precedence weights (N, K, K) from `build_pair_set`;
+    one query's scores (K,) take an int (P, 2) pair list, which becomes the
+    weight matrix 1/|P| on the listed pairs. Stable via log1p-exp for score
+    gaps up to ~1e3; no pair at all gives 0.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
+    S = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(S)):
         raise ValueError("scores must be finite")
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if pairs.shape[0] == 0:
-        return 0.0
-    t = scores[pairs[:, 0]] - scores[pairs[:, 1]]
-    return float(np.mean(np.logaddexp(0.0, -t)))
-
-
-def _flatten_pairs(pairs_list: list[np.ndarray]):
-    """Flat (query_row, i, j, weight) arrays; weight = 1/(n_contrib * |P_q|)."""
-    contributing = [q for q, pr in enumerate(pairs_list) if len(pr)]
-    qidx, ii, jj, w = [], [], [], []
-    for q in contributing:
-        pr = pairs_list[q]
-        qidx.append(np.full(len(pr), q))
-        ii.append(pr[:, 0])
-        jj.append(pr[:, 1])
-        w.append(np.full(len(pr), 1.0 / (len(contributing) * len(pr))))
-    if not contributing:
-        return None
-    return (
-        np.concatenate(qidx),
-        np.concatenate(ii),
-        np.concatenate(jj),
-        np.concatenate(w),
-    )
+    if S.ndim == 1:
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        K = S.size
+        hits = np.bincount(pairs[:, 0] * K + pairs[:, 1], minlength=K * K)
+        S, pairs = S[None], hits.reshape(1, K, K) / max(len(pairs), 1)
+    return _pair_loss(S, pairs)[0]
 
 
 def ranking_objective(
     p: EquiRouterParams,
     Q: np.ndarray,
-    pairs_list: list[np.ndarray],
+    weights: np.ndarray,
     weight_decay: float = 0.0,
 ) -> tuple[float, list[np.ndarray]]:
-    """Mean per-query pairwise logistic loss plus 0.5 * wd * ||theta||^2.
-
-    Returns (loss, exact analytic gradients in canonical parameter order).
-    Queries with empty pair sets are excluded from the mean.
-    """
-    flat = _flatten_pairs(pairs_list)
-    if flat is None:
-        raise ValueError("no ranking supervision: every query has an empty pair set")
-    qidx, ii, jj, w = flat
+    """Mean per-query pairwise logistic loss plus 0.5 * wd * ||theta||^2, with
+    exact analytic gradients in canonical parameter order. `weights` is the
+    batch's slice of `build_pair_set`; queries without pairs are left out."""
     S, cache = _forward_scores(p, Q)
-    t = S[qidx, ii] - S[qidx, jj]
-    loss = float(np.sum(w * np.logaddexp(0.0, -t)))
-    sig = np.exp(-np.logaddexp(0.0, t))  # sigmoid(-t), overflow-free
-    dS = np.zeros_like(S)
-    np.add.at(dS, (qidx, ii), -w * sig)
-    np.add.at(dS, (qidx, jj), w * sig)
-    grads = _backward_scores(p, cache, dS)
+    loss, t, n = _pair_loss(S, weights)
+    if n == 0:
+        raise ValueError("no ranking supervision: every query has an empty pair set")
+    G = weights * np.exp(-np.logaddexp(0.0, t)) / n  # W * sigmoid(-t), overflow-free
+    grads = _backward_scores(p, cache, G.sum(axis=1) - G.sum(axis=2))
     if weight_decay:
         plist = params_list(p)
         loss += 0.5 * weight_decay * sum(float(np.sum(v * v)) for v in plist)
@@ -514,30 +507,23 @@ def _train_scores(
     if train_idx.size == 0:
         raise ValueError("training split is empty")
     if objective == "rank":
-        all_pairs = build_pair_set(table, train_idx)
-        keep = np.array([len(pr) > 0 for pr in all_pairs])
+        W_train = build_pair_set(table, train_idx)
+        keep = W_train.any(axis=(1, 2))
         if not keep.any():
             raise ValueError("no ranking supervision: every query has an empty pair set")
-        train_idx = train_idx[keep]
-        train_pairs = [pr for pr in all_pairs if len(pr)]
-        vp_all = build_pair_set(table, valid_idx)
-        valid_pairs = [pr for pr in vp_all if len(pr)]
-        valid_q = table.embeddings[
-            valid_idx[[i for i, pr in enumerate(vp_all) if len(pr)]]
-        ]
+        train_idx, W_train = train_idx[keep], W_train[keep]
+        W_valid = build_pair_set(table, valid_idx)
+        keep = W_valid.any(axis=(1, 2))
+        W_valid, valid_q = W_valid[keep], table.embeddings[valid_idx[keep]]
 
         def batch_objective(batch):
-            return ranking_objective(
-                params, Q_train[batch], [train_pairs[b] for b in batch]
-            )
+            return ranking_objective(params, Q_train[batch], W_train[batch])
 
         def val_loss() -> float:
             S = scores_batch(params, valid_q)
             if not np.isfinite(S).all():  # ranking_loss would raise
                 return float("nan")
-            return float(
-                np.mean([ranking_loss(S[q], pr) for q, pr in enumerate(valid_pairs)])
-            )
+            return ranking_loss(S, W_valid)
 
     else:
         A_train = table.perf[train_idx]
@@ -610,9 +596,9 @@ def _regressor_objective(
 ) -> tuple[float, list[np.ndarray]]:
     """MSE of a layer stack's outputs against targets, with gradients in
     [weight, bias, ...] order."""
-    y, inputs = forward_layers(layers, Q)
+    y, acts = forward_layers(layers, Q)
     loss, dy = _mse(y, targets)
-    return loss, backward_layers(layers, inputs, dy)[1]
+    return loss, backward_layers(layers, acts, dy, input_grad=False)[1]
 
 
 def _train_two_layer(

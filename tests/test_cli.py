@@ -121,6 +121,27 @@ def test_config_value_error_names_its_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("knn.k", "0"),
+        ("train.latent_dim", "0"),
+        ("train.model_dim", "-1"),
+        ("train.hidden", "0"),
+        ("train.lr", "0"),
+        ("train.lr", "nan"),
+        ("train.weight_decay", "-1e-4"),
+        ("train.weight_decay", "inf"),
+    ],
+)
+def test_out_of_range_training_values_rejected_before_any_write(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, SYNTH_CONFIG, **{key: value, "out": out})
+    assert main(["pipeline", "--config", cfg_path]) == EXIT_CONFIG
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flags_override_their_config_keys(tmp_path):
     cfg_path = write_config(tmp_path, SYNTH_CONFIG, out=tmp_path / "cfg-out")
     flags = ["--router", "knn", "--cost-source", "oracle", "--grid-points", "7",

@@ -63,6 +63,25 @@ def test_backward_scalar_product_rule():
     assert gw[0, 0] == pytest.approx(15.0)  # grad_w = grad_out * x
 
 
+def test_relu_backward_from_recorded_output_is_exact():
+    rng = make_rng(4, 1)
+    layer = init_dense(rng, 4, 6, "relu")
+    layer.weight[:2] = 0.0
+    layer.bias[:3] = [0.0, -0.0, 0.5]  # exact zero pre-activations in columns 0-1
+    x = rng.standard_normal((8, 4))
+    x[0], x[1, :2], x[2, 2:] = 0.0, -0.0, -0.0
+    grad_out = rng.standard_normal((8, 6))
+    # reference: the mask from a recomputed pre-activation
+    z = x @ layer.weight.T + layer.bias
+    masked = grad_out * (z > 0.0)
+    expected = (masked @ layer.weight, masked.T @ x, masked.sum(axis=0))
+    recorded = backward(layer, x, grad_out, forward(layer, x))
+    assert all(np.array_equal(g, e) for g, e in zip(recorded, expected))
+    no_input = backward(layer, x, grad_out, forward(layer, x), input_grad=False)
+    assert no_input[0] is None
+    assert np.array_equal(no_input[1], expected[1]) and np.array_equal(no_input[2], expected[2])
+
+
 def _fd_layer_grads(layer, x, grad_out, h=1e-5):
     def loss(w, b):
         probe = DenseLayer(weight=w, bias=b, activation=layer.activation)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equirouter.dataset import ModelInfo, RoutingTable, SynthConfig, generate_synthetic, make_split
 from equirouter.neuralnet import grad_check
@@ -237,6 +239,42 @@ def test_ranking_loss_shift_invariance():
 def test_ranking_loss_rejects_nonfinite_scores():
     with pytest.raises(ValueError):
         ranking_loss(np.array([np.inf, 0.0]), np.array([(0, 1)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 30), k=st.integers(2, 8), seed=st.integers(0, 10_000))
+def test_dense_precedence_matches_per_query_pairs(n, k, seed):
+    # coarse values make tied performance and tied cost common
+    rng = make_rng(seed, 0)
+    a = rng.integers(0, 3, size=(n, k)) / 2.0
+    c = rng.integers(1, 4, size=(n, k)) / 4.0
+    t = make_table(perf=a, cost=c, embeddings=rng.standard_normal((n, 3)))
+    W = build_pair_set(t, np.arange(n))
+    pairs = [build_pairs(a[q], c[q]) for q in range(n)]
+    for q in range(n):
+        assert set(map(tuple, np.argwhere(W[q]))) == set(map(tuple, pairs[q]))
+        if len(pairs[q]):
+            assert W[q].sum() == pytest.approx(1.0, rel=1e-15)
+    p = init_equirouter(EquiHyper(d_q=3, n_models=k, d_m=4, latent_dim=5, seed=seed))
+    S = scores_batch(p, t.embeddings)
+    supervised = [q for q in range(n) if len(pairs[q])]
+    if not supervised:
+        with pytest.raises(ValueError, match="no ranking supervision"):
+            ranking_objective(p, t.embeddings, W)
+        assert ranking_loss(S, W) == 0.0
+        return
+    per_query = []
+    for q in supervised:
+        i, j = pairs[q].T
+        per_query.append(np.mean(np.logaddexp(0.0, -(S[q, i] - S[q, j]))))
+        assert ranking_loss(S[q], pairs[q]) == pytest.approx(per_query[-1], rel=1e-12)
+    reference = np.mean(per_query)
+    assert ranking_objective(p, t.embeddings, W)[0] == pytest.approx(reference, rel=1e-12)
+    assert ranking_loss(S, W) == pytest.approx(reference, rel=1e-12)
+    empty = [q for q in range(n) if not len(pairs[q])]
+    if empty:
+        with pytest.raises(ValueError, match="no ranking supervision"):
+            ranking_objective(p, t.embeddings[empty], W[empty])
 
 
 # ---------------------------------------------------------------------------
