@@ -187,10 +187,6 @@ def load_split(path: Path | str) -> SplitIndices:
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def save_table(table: RoutingTable, path: Path | str) -> None:
     """Write a table directory; load_table(save_table(t)) is t, bit-exact."""
     validate_table(table)
@@ -201,16 +197,17 @@ def save_table(table: RoutingTable, path: Path | str) -> None:
         for m in table.models
     ]
     (root / "models.json").write_text(json.dumps(models, sort_keys=True, indent=2) + "\n")
+    # json.dumps writes a finite float as its repr, so each line is built
+    # directly; validate_table has already rejected non-finite values
     with (root / "queries.jsonl").open("w") as fh:
-        for qid, emb in zip(table.query_ids, table.embeddings):
-            fh.write(
-                json.dumps({"query_id": qid, "embedding": [float(v) for v in emb]})
-                + "\n"
-            )
+        fh.writelines(
+            '{"query_id": ' + json.dumps(qid)
+            + ', "embedding": [' + ", ".join(map(repr, emb)) + "]}\n"
+            for qid, emb in zip(table.query_ids, table.embeddings.tolist())
+        )
     for name, mat in (("perf", table.perf), ("cost", table.cost)):
         with (root / f"{name}.csv").open("w") as fh:
-            for row in mat:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in mat.tolist())
 
 
 def _load_matrix(path: Path, what: str) -> np.ndarray:

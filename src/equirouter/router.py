@@ -23,10 +23,16 @@ batch loss, score gradient and validation loss are masked array ops over it.
 W takes N * K^2 * 8 bytes, about 1 MB for 1000 training queries over 11
 models; K <= 20 keeps it negligible.
 
-Dense layers backpropagate through `neuralnet.backward`; only the modulation
-and the interaction blocks are differentiated here. Every trainer runs the
-same epoch loop (`_fit`) and differs only in its batch objective and
-validation loss. Tests check every gradient against finite differences.
+The head's first layer acts on the four D-column blocks of h_j separately.
+With W1 = [Wz, We, Wu, Wv], its pre-activation is z_j Wz^T + (z_j * e_j) Wu^T
++ |z_j - e_j| Wv^T + c_j, where c_j = e_j We^T + b1 is a per-model constant
+computed once per call; the no-joint head keeps the z_j and c terms. Training
+and scoring so hold (B, K, D) arrays, never a (B * K, 4D) one. The trunk, the
+FiLM and model projections and the head's output layer backpropagate through
+`neuralnet.backward`; the modulation, the interaction blocks and the head's
+first layer are differentiated here. Every trainer runs the same epoch loop
+(`_fit`) and differs only in its batch objective and validation loss. Tests
+check every gradient against finite differences.
 """
 
 from __future__ import annotations
@@ -174,32 +180,11 @@ def assign_params(p: EquiRouterParams, values: list[np.ndarray]) -> None:
 # forward / backward
 
 
-def film_modulate(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Elementwise affine modulation gamma * z + beta."""
-    z, gamma, beta = (np.asarray(v, dtype=np.float64) for v in (z, gamma, beta))
-    if not (z.shape == gamma.shape == beta.shape):
-        raise ValueError(
-            f"dimension mismatch: z {z.shape}, gamma {gamma.shape}, beta {beta.shape}"
-        )
-    return gamma * z + beta
-
-
-def joint_feature(z_j: np.ndarray, e_j: np.ndarray) -> np.ndarray:
-    """Interaction feature [z_j, e_j, z_j * e_j, |z_j - e_j|], length 4D."""
-    z_j = np.asarray(z_j, dtype=np.float64)
-    e_j = np.asarray(e_j, dtype=np.float64)
-    if z_j.shape != e_j.shape:
-        raise ValueError(f"dimension mismatch: {z_j.shape} vs {e_j.shape}")
-    return np.concatenate([z_j, e_j, z_j * e_j, np.abs(z_j - e_j)])
-
-
 def _forward_scores(p: EquiRouterParams, Q: np.ndarray):
     """Batched scores (B, K) plus the cache needed for the backward pass."""
     Q = np.asarray(Q, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[1] != p.hyper.d_q:
         raise ValueError(f"query batch shape {Q.shape} does not match d_q={p.hyper.d_q}")
-    B = Q.shape[0]
-    K = p.model_embeddings.shape[0]
     D = p.latent_dim
 
     Z, trunk_acts = forward_layers(p.trunk, Q)  # (B, D)
@@ -209,49 +194,58 @@ def _forward_scores(p: EquiRouterParams, Q: np.ndarray):
     gamma, beta = G[:, :D], G[:, D:]
     E = forward(p.model_proj, M)  # (K, D)
 
-    Zj = Z[:, None, :] * gamma[None, :, :] + beta[None, :, :]  # (B, K, D)
+    Zj = Z[:, None, :] * gamma
+    Zj += beta  # (B, K, D)
+    first, last = p.score_head
+    Wt = np.ascontiguousarray(first.weight.T)  # row block i acts on part i of h_j
+    P = Zj @ Wt[:D]
+    P += E @ Wt[D : 2 * D] + first.bias  # the per-model constant c
     if p.joint_feature:
-        H = np.concatenate(
-            [
-                Zj,
-                np.broadcast_to(E[None, :, :], (B, K, D)),
-                Zj * E[None, :, :],
-                np.abs(Zj - E[None, :, :]),
-            ],
-            axis=2,
-        )
-    else:
-        H = np.concatenate([Zj, np.broadcast_to(E[None, :, :], (B, K, D))], axis=2)
-
-    h, head_acts = forward_layers(p.score_head, H.reshape(B * K, -1))
-    cache = (trunk_acts, Z, gamma, E, Zj, head_acts)
-    return h.reshape(B, K), cache
+        T = Zj * E  # U, then |X| with X = Zj - E; S holds each block's product
+        S = T @ Wt[2 * D : 3 * D]
+        P += S
+        np.abs(np.subtract(Zj, E, out=T), out=T)
+        P += np.matmul(T, Wt[3 * D :], out=S)
+    H = np.maximum(P, 0.0, out=P).reshape(-1, D)  # the head's relu hidden layer
+    s = forward(last, H)
+    cache = (trunk_acts, Z, gamma, E, Zj, H)
+    return s.reshape(Zj.shape[:2]), cache
 
 
 def _backward_scores(p: EquiRouterParams, cache, dS: np.ndarray) -> list[np.ndarray]:
     """Gradients of sum(dS * scores) w.r.t. every parameter, canonical order."""
-    trunk_acts, Z, gamma, E, Zj, head_acts = cache
+    trunk_acts, Z, gamma, E, Zj, H = cache
     B, K = dS.shape
     D = p.latent_dim
+    first, last = p.score_head
+    W1 = first.weight
 
-    dH, head_grads = backward_layers(p.score_head, head_acts, dS.reshape(B * K, 1))
-    dH = dH.reshape(B, K, -1)
-
-    dZj = dH[:, :, :D].copy()
-    dE_b = dH[:, :, D : 2 * D].copy()
+    dH, out_w_grad, out_b_grad = backward(last, H, dS.reshape(B * K, 1))
+    dH *= H > 0.0  # relu mask from the recorded output: dH is now dP
+    dP = dH.reshape(B, K, D)
+    dc = dP.sum(axis=0)  # (K, D)
+    w1_blocks = [dH.T @ Zj.reshape(-1, D), dc.T @ E]
+    dZj = dP @ W1[:, :D]
+    dE = dc @ W1[:, D : 2 * D]  # (K, D)
     if p.joint_feature:
-        dU = dH[:, :, 2 * D : 3 * D]
-        dV = dH[:, :, 3 * D :]
-        dZj += dU * E[None, :, :]
-        dE_b += dU * Zj
-        sign = np.sign(Zj - E[None, :, :])
-        dZj += dV * sign
-        dE_b -= dV * sign
+        T = Zj * E  # U, X, sign(X): recomputed, so scoring need not keep them
+        w1_blocks.append(dH.T @ T.reshape(-1, D))
+        np.subtract(Zj, E, out=T)
+        w1_blocks.append(dH.T @ np.abs(T).reshape(-1, D))
+        dV = dP @ W1[:, 3 * D :]
+        dV *= np.sign(T, out=T)
+        dZj += dV
+        dE -= dV.sum(axis=0)
+        dU = np.matmul(dP, W1[:, 2 * D : 3 * D], out=dV)
+        dE += np.einsum("bkd,bkd->kd", dU, Zj)
+        dU *= E
+        dZj += dU
+    dW1 = np.concatenate(w1_blocks, axis=1)
+    head_grads = [dW1, dc.sum(axis=0), out_w_grad, out_b_grad]
 
-    dE = dE_b.sum(axis=0)  # (K, D)
-    dGamma = (dZj * Z[:, None, :]).sum(axis=0)  # (K, D)
+    dGamma = np.einsum("bkd,bd->kd", dZj, Z)
     dBeta = dZj.sum(axis=0)  # (K, D)
-    dZ = (dZj * gamma[None, :, :]).sum(axis=1)  # (B, D)
+    dZ = np.einsum("bkd,kd->bd", dZj, gamma)
 
     M = p.model_embeddings
     dG = np.concatenate([dGamma, dBeta], axis=1)  # (K, 2D)
@@ -282,16 +276,17 @@ def per_query_mac_counts(p: EquiRouterParams) -> tuple[int, int]:
     """(trunk_macs, per_model_macs): multiply-accumulate counts per query.
 
     The trunk runs once per query regardless of K; per model the router
-    applies the modulation, the interaction blocks and the scoring head.
-    The film/proj projections depend only on the model embeddings and are
-    computed once per scoring call, so they amortize to zero per query.
+    applies the modulation, the interaction blocks and the head. The film/proj
+    projections and the head's e_j block c depend only on the model embeddings
+    and are computed once per scoring call, so they amortize to zero per query.
     """
     trunk = sum(l.in_dim * l.out_dim for l in p.trunk)
     D = p.latent_dim
-    per_model = D  # gamma * z + beta
+    per_model = 2 * D  # gamma * z + beta, and the head's output layer D -> 1
     if p.joint_feature:
-        per_model += 2 * D  # z_j * e_j and |z_j - e_j|
-    per_model += sum(l.in_dim * l.out_dim for l in p.score_head)
+        per_model += 2 * D + 3 * D * D  # z_j * e_j, |z_j - e_j|; blocks z, u, v
+    else:
+        per_model += D * D  # the head's z_j block
     return trunk, per_model
 
 

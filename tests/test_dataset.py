@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,30 @@ def test_round_trip_identity(tmp_path, small_synth):
     assert np.array_equal(loaded.embeddings, small_synth.embeddings)
     assert np.array_equal(loaded.perf, small_synth.perf)
     assert np.array_equal(loaded.cost, small_synth.cost)
+
+
+def test_save_table_bytes_match_json_and_repr(tmp_path):
+    # the writer's bytes are pinned to json.dumps per queries.jsonl line and
+    # repr per CSV cell, on values whose shortest repr is unusual
+    odd = [-0.0, 5e-324, 1e-300, 0.1 + 0.2]
+    t = make_table(
+        perf=[[-0.0, 1.0], [0.1 + 0.2, 1e-300]],
+        cost=[[5e-324, 1e-300], [0.1 + 0.2, 2.0]],
+        embeddings=[odd, odd[::-1]],
+    )
+    save_table(t, tmp_path / "t")
+    lines = [
+        json.dumps({"query_id": qid, "embedding": [float(v) for v in emb]}) + "\n"
+        for qid, emb in zip(t.query_ids, t.embeddings)
+    ]
+    assert (tmp_path / "t" / "queries.jsonl").read_text() == "".join(lines)
+    assert '"embedding": [-0.0, 5e-324, 1e-300, 0.30000000000000004]' in lines[0]
+    for name, mat in (("perf", t.perf), ("cost", t.cost)):
+        rows = [",".join(repr(float(v)) for v in row) + "\n" for row in mat]
+        assert (tmp_path / "t" / f"{name}.csv").read_text() == "".join(rows)
+    loaded = load_table(tmp_path / "t")
+    assert np.array_equal(loaded.embeddings, t.embeddings)
+    assert np.signbit(loaded.perf[0, 0])
 
 
 def test_round_trip_records_embedding_dim(tmp_path):

@@ -20,9 +20,7 @@ from equirouter.router import (
     assign_params,
     build_pair_set,
     build_pairs,
-    film_modulate,
     init_equirouter,
-    joint_feature,
     knn_scores,
     load_router,
     mse_objective,
@@ -55,7 +53,27 @@ def tiny_hyper(d_q, k, seed=0, **kw):
 
 
 # ---------------------------------------------------------------------------
-# building blocks
+# building blocks: reference specs of one model's modulation and joint
+# feature, which `_reference_scores` composes into a per-model score
+
+
+def film_modulate(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Elementwise affine modulation gamma * z + beta."""
+    z, gamma, beta = (np.asarray(v, dtype=np.float64) for v in (z, gamma, beta))
+    if not (z.shape == gamma.shape == beta.shape):
+        raise ValueError(
+            f"dimension mismatch: z {z.shape}, gamma {gamma.shape}, beta {beta.shape}"
+        )
+    return gamma * z + beta
+
+
+def joint_feature(z_j: np.ndarray, e_j: np.ndarray) -> np.ndarray:
+    """Interaction feature [z_j, e_j, z_j * e_j, |z_j - e_j|], length 4D."""
+    z_j = np.asarray(z_j, dtype=np.float64)
+    e_j = np.asarray(e_j, dtype=np.float64)
+    if z_j.shape != e_j.shape:
+        raise ValueError(f"dimension mismatch: {z_j.shape} vs {e_j.shape}")
+    return np.concatenate([z_j, e_j, z_j * e_j, np.abs(z_j - e_j)])
 
 
 def test_film_identity():
@@ -112,12 +130,9 @@ def _reference_scores(p, x):
     for j in range(p.model_embeddings.shape[0]):
         m = p.model_embeddings[j]
         gb = dense(p.film_proj, m)
-        zj = gb[:D] * z + gb[D:]
+        zj = film_modulate(z, gb[:D], gb[D:])
         ej = dense(p.model_proj, m)
-        if p.joint_feature:
-            h = np.concatenate([zj, ej, zj * ej, np.abs(zj - ej)])
-        else:
-            h = np.concatenate([zj, ej])
+        h = joint_feature(zj, ej) if p.joint_feature else np.concatenate([zj, ej])
         for layer in p.score_head:
             h = dense(layer, h)
         scores.append(h[0])
@@ -148,6 +163,27 @@ def test_score_all_matches_reference_pipeline(joint):
         assert score_all(p, x) == pytest.approx(_reference_scores(p, x), rel=1e-12)
 
 
+def _tie_first_coordinate(p):
+    """Zero the first latent coordinate of gamma, beta and e_j: there z_j ==
+    e_j == 0 exactly for every query and model, so |z_j - e_j| meets sign(0)."""
+    D = p.latent_dim
+    p.film_proj.weight[[0, D]] = 0.0
+    p.film_proj.bias[[0, D]] = 0.0
+    p.model_proj.weight[0] = 0.0
+    p.model_proj.bias[0] = 0.0
+
+
+@pytest.mark.parametrize("joint", [True, False])
+def test_scores_batch_matches_reference_pipeline(joint):
+    p = init_equirouter(tiny_hyper(6, 4, seed=6), joint_feature=joint)
+    _tie_first_coordinate(p)
+    Q = make_rng(11, 0).standard_normal((9, 6))
+    S = scores_batch(p, Q)
+    assert S.shape == (9, 4)
+    for n in range(9):
+        assert S[n] == pytest.approx(_reference_scores(p, Q[n]), rel=1e-12)
+
+
 def test_score_permutation_invariance():
     p = init_equirouter(tiny_hyper(5, 4, seed=5))
     x = make_rng(10, 0).standard_normal(5)
@@ -166,6 +202,16 @@ def test_per_query_mac_counts_linear_in_k():
     assert per_model4 == per_model8  # per-model cost independent of K
     total = lambda trunk, per, k: trunk + k * per
     assert total(trunk8, per_model8, 8) - total(trunk4, per_model4, 4) == 4 * per_model4
+
+
+@pytest.mark.parametrize("joint", [True, False])
+def test_per_query_mac_counts_exact(joint):
+    # d_q=5, D=8: the trunk is 5*8 + 8*8; per model, the joint head applies
+    # D (modulation) + 2D (interaction) + 3*D*D (z_j, u, v blocks) + D (output),
+    # the no-joint head D + D*D + D; the e_j block is per call, not per query
+    p = init_equirouter(tiny_hyper(5, 4), joint_feature=joint)
+    per_model = 8 + 2 * 8 + 3 * 64 + 8 if joint else 8 + 64 + 8
+    assert per_query_mac_counts(p) == (5 * 8 + 8 * 8, per_model)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +327,21 @@ def test_dense_precedence_matches_per_query_pairs(n, k, seed):
 # gradient correctness of the full objectives
 
 
-def test_full_objective_gradients_match_fd():
+@pytest.mark.parametrize(
+    "joint, tie", [(True, False), (False, False), (True, True)], ids=["True", "False", "tie"]
+)
+def test_full_objective_gradients_match_fd(joint, tie):
+    # the no-joint head applies only the z_j and e_j blocks of its first layer;
+    # at an exact tie the central difference of |x| is 0, as is sign(0)
     t = generate_synthetic(
         SynthConfig(n_queries=4, n_models=3, embed_dim=6, tie_fraction=0.5, noise_seed=3)
     )
     pairs = build_pair_set(t, np.arange(4))
-    p = init_equirouter(EquiHyper(d_q=6, n_models=3, d_m=4, latent_dim=8, seed=7))
+    p = init_equirouter(
+        EquiHyper(d_q=6, n_models=3, d_m=4, latent_dim=8, seed=7), joint_feature=joint
+    )
+    if tie:
+        _tie_first_coordinate(p)
 
     def fn(plist):
         assign_params(p, plist)
