@@ -275,8 +275,9 @@ def _open_out(cfg: ExperimentConfig, split: SplitIndices, made: bool) -> Path:
     return out
 
 
-def _load_checked(path: Path | str, tag: str, table: RoutingTable):
-    """Load a checkpoint, refusing one of another kind or sized for another table."""
+def _load_checked(path: Path | str, tag: str, table: RoutingTable, split: SplitIndices):
+    """Load a checkpoint, refusing one of another kind, sized for another
+    table or, for kNN, trained on other rows than the run's training split."""
     try:
         model = rt.load_router(path)
     except ValueError as exc:
@@ -296,23 +297,30 @@ def _load_checked(path: Path | str, tag: str, table: RoutingTable):
             f"checkpoint {path} trains on query rows {min(rows)}..{max(rows)} "
             f"but the table has {table.n_queries} queries"
         )
+    if rows and rows != split.train:
+        raise ConfigError(
+            f"checkpoint {path} trains on other query rows than this run's training "
+            f"split (checkpoint split.seed={model.split_seed}, run split.seed={split.seed})"
+        )
     return model
 
 
-def _load_checkpoints(cfg: ExperimentConfig, checkpoint: str | None, table: RoutingTable):
+def _load_checkpoints(
+    cfg: ExperimentConfig, checkpoint: str | None, table: RoutingTable, split: SplitIndices
+):
     """The router `sweep` evaluates and, for predicted costs, the cost
     predictor saved next to it: (router, cost predictor or None)."""
     if cfg.router == "oracle":
         return rt.OracleRouter(), None
     if checkpoint is None:
         raise ConfigError("sweep needs --checkpoint for trained routers")
-    router = _load_checked(checkpoint, cfg.router.replace("-", "_"), table)
+    router = _load_checked(checkpoint, cfg.router.replace("-", "_"), table, split)
     if cfg.cost_source == "oracle":
         return router, None
     cp_path = Path(checkpoint).parent / "cost.ckpt"
     if not cp_path.is_file():
         raise ConfigError("cost_source=predicted needs cost.ckpt next to the checkpoint")
-    return router, _load_checked(cp_path, "cost", table)
+    return router, _load_checked(cp_path, "cost", table, split)
 
 
 def _mlp_hyper(cfg: ExperimentConfig, table: RoutingTable) -> rt.MlpHyper:
@@ -450,7 +458,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 def cmd_sweep(cfg: ExperimentConfig, checkpoint: str | None) -> int:
     table, split, made = _read_inputs(cfg)
-    router, cost_predictor = _load_checkpoints(cfg, checkpoint, table)
+    router, cost_predictor = _load_checkpoints(cfg, checkpoint, table, split)
     out = _open_out(cfg, split, made)
     return _sweep_and_report(cfg, table, split, router, cost_predictor, out)
 

@@ -130,15 +130,6 @@ def oracle_select(table: RoutingTable, n: int, budget: float) -> int:
     return choice
 
 
-def oracle_select_batch(
-    table: RoutingTable, indices: np.ndarray, budget: float
-) -> np.ndarray:
-    choices, _ = select_under_budget_batch(
-        table.perf[indices], table.cost[indices], budget
-    )
-    return choices
-
-
 def margin(table: RoutingTable, n: int, budget: float) -> float | None:
     """Gap between best and second-best feasible performance; None if |F| < 2."""
     fs = feasible_set(table, n, budget)

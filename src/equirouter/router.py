@@ -37,7 +37,7 @@ check every gradient against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -679,6 +679,10 @@ def train_mlp_router(
 # kNN baseline and oracle sentinel
 
 
+# query rows per kNN distance block: scoring holds O(KNN_BLOCK * n_train)
+KNN_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class KnnRouterParams:
     """Non-parametric baseline: mean perf row of the k nearest train queries."""
@@ -687,6 +691,9 @@ class KnnRouterParams:
     train_indices: tuple[int, ...]
     split_seed: int
     tag: str = "knn"
+    # (table, reference embeddings, their squared norms, reference perf rows),
+    # built by `_knn_reference` for the last table scored
+    _reference: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def train_knn_router(table: RoutingTable, split, k: int = 50) -> KnnRouterParams:
@@ -702,18 +709,55 @@ def train_knn_router(table: RoutingTable, split, k: int = 50) -> KnnRouterParams
     )
 
 
+def _knn_reference(knn: KnnRouterParams, table: RoutingTable) -> tuple:
+    """The training rows' embeddings, squared norms and perf rows, built once
+    per table. The slot is keyed on the table object itself: a RoutingTable
+    and its arrays are immutable, and the slot holds the table alive, so no
+    other table can pass the `is` check."""
+    if knn._reference is None or knn._reference[0] is not table:
+        rows = np.asarray(knn.train_indices, dtype=np.int64)
+        ref = table.embeddings[rows]
+        reference = (table, ref, (ref * ref).sum(axis=1), table.perf[rows])
+        object.__setattr__(knn, "_reference", reference)
+    return knn._reference[1:]
+
+
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """np.argsort(d2, axis=1, kind="stable")[:, :k], found by partition."""
+    n = d2.shape[1]
+    if k < n:
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+        keep = d2 <= kth
+        counts = keep.sum(axis=1)
+        if (counts > k).any():  # ties at the k-th distance: keep the earliest
+            tied = d2 == kth
+            room = k - (d2 < kth).sum(axis=1, keepdims=True)
+            keep &= ~tied | (np.cumsum(tied, axis=1) <= room)
+        if (counts >= k).all():  # else a NaN k-th distance: argsort below
+            flat = np.flatnonzero(keep).reshape(-1, k)
+            order = np.argsort(d2.ravel()[flat], axis=1, kind="stable")
+            return np.take_along_axis(flat, order, axis=1) % n
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
 def knn_scores(knn: KnnRouterParams, table: RoutingTable, Q: np.ndarray) -> np.ndarray:
-    train_idx = np.asarray(knn.train_indices, dtype=np.int64)
-    ref = table.embeddings[train_idx]
-    k = min(knn.k, train_idx.size)
-    # |q - r|^2 via the gemm expansion: O(B * n_train) memory, and a query
-    # equal to a training row still gets distance exactly 0 (x + x - 2x)
-    q_sq = (Q * Q).sum(axis=1, keepdims=True)
-    r_sq = (ref * ref).sum(axis=1)
-    d2 = q_sq + r_sq[None, :] - 2.0 * (Q @ ref.T)
-    # stable sort: distance ties resolve to the earlier training row
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return table.perf[train_idx[nearest]].mean(axis=1)
+    ref, r_sq, ref_perf = _knn_reference(knn, table)
+    k = min(knn.k, len(ref))
+
+    def block(q: np.ndarray) -> np.ndarray:
+        # |q - r|^2 via the gemm expansion, and a query equal to a training
+        # row still gets distance exactly 0 (x + x - 2x); stable selection:
+        # distance ties resolve to the earlier training row
+        d2 = (q * q).sum(axis=1, keepdims=True) + r_sq[None, :] - 2.0 * (q @ ref.T)
+        return ref_perf[_nearest(d2, k)].mean(axis=1)
+
+    if len(Q) <= KNN_BLOCK:
+        return block(Q)
+    # near-equal blocks of at most KNN_BLOCK rows, so memory is
+    # O(KNN_BLOCK * n_train); none is a single row, whose product would take
+    # BLAS's matrix-vector path and round differently from the batch's
+    n_blocks = -(-len(Q) // KNN_BLOCK)
+    return np.concatenate([block(q) for q in np.array_split(Q, n_blocks)])
 
 
 @dataclass(frozen=True)

@@ -453,6 +453,12 @@ def small_run(tmp_path_factory):
             id="knn-rows",
         ),
         pytest.param(
+            "knn", "run/knn.ckpt", "oracle", {"split.seed": 7},
+            "knn.ckpt trains on other query rows than this run's training split "
+            "(checkpoint split.seed=42, run split.seed=7)",
+            id="knn-split",
+        ),
+        pytest.param(
             "knn", "run/knn.ckpt", "predicted", {"synth.n_models": 3},
             "cost.ckpt has n_models=4 but the table has n_models=3", id="cost-models",
         ),

@@ -128,6 +128,50 @@ def test_load_rejects_bad_cost(tmp_path, small_synth):
         load_table(tmp_path / "t")
 
 
+def _drop_last_cell(line):
+    return line.rsplit(",", 1)[0]
+
+
+def _drop_last_embedding_value(line):
+    rec = json.loads(line)
+    rec["embedding"] = rec["embedding"][:-1]
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize(
+    "name, row, edit, error",
+    [
+        pytest.param("perf.csv", 3, _drop_last_cell, "perf row 3 has 3 columns, expected 4",
+                     id="perf-columns"),
+        pytest.param("cost.csv", 1, lambda line: line + ",1.0",
+                     "cost row 1 has 5 columns, expected 4", id="cost-columns"),
+        pytest.param("perf.csv", 2, lambda line: "abc," + line.split(",", 1)[1],
+                     "unparseable perf value in row 2", id="perf-value"),
+        pytest.param("cost.csv", 0, lambda line: line.replace(",", ",x", 1),
+                     "unparseable cost value in row 0", id="cost-value"),
+        pytest.param("queries.jsonl", 5, _drop_last_embedding_value,
+                     "embedding dimension mismatch at query 5: 11 != 12", id="embedding-dim"),
+        pytest.param("queries.jsonl", None, None, "queries.jsonl is empty", id="empty-queries"),
+        pytest.param("perf.csv", None, None, "perf matrix is empty", id="empty-perf"),
+        pytest.param("cost.csv", None, None, "cost matrix is empty", id="empty-cost"),
+    ],
+)
+def test_load_error_messages(tmp_path, small_synth, name, row, edit, error):
+    """Each malformed file names what is wrong and where; an empty file is
+    reported as empty. A faster loader must keep these messages."""
+    save_table(small_synth, tmp_path / "t")
+    path = tmp_path / "t" / name
+    if edit is None:
+        path.write_text("")
+    else:
+        lines = path.read_text().splitlines()
+        lines[row] = edit(lines[row])
+        path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_table(tmp_path / "t")
+    assert str(info.value) == error
+
+
 # ---------------------------------------------------------------------------
 # splits
 

@@ -19,7 +19,7 @@ from equirouter.evaluation import (
     sweep,
     training_set_eval,
 )
-from equirouter.oracle import oracle_select_batch
+from equirouter.oracle import select_under_budget_batch
 from equirouter.router import OracleRouter, train_knn_router
 
 from conftest import constant_policy_router, make_table
@@ -216,7 +216,9 @@ def test_rci_cheapest_optimum_boundary():
 
 def test_rci_oracle_is_zero_without_cost_ties(small_synth):
     idx = np.arange(small_synth.n_queries)
-    picks = oracle_select_batch(small_synth, idx, float(small_synth.cost.max()))
+    picks, _ = select_under_budget_batch(
+        small_synth.perf[idx], small_synth.cost[idx], float(small_synth.cost.max())
+    )
     assert rci(small_synth, picks, idx).rci == 0.0
 
 
@@ -231,7 +233,7 @@ def test_rci_always_most_expensive_on_full_ties():
 
 def test_rci_call_rates_sum_to_one(small_synth):
     idx = np.arange(small_synth.n_queries)
-    picks = oracle_select_batch(small_synth, idx, 1e9)
+    picks, _ = select_under_budget_batch(small_synth.perf[idx], small_synth.cost[idx], 1e9)
     report = rci(small_synth, picks, idx)
     assert sum(report.call_rates) == pytest.approx(1.0)
 
@@ -353,7 +355,7 @@ def test_noise_sensitivity_sigma_zero_is_oracle(small_synth):
     idx = np.arange(small_synth.n_queries)
     budget = float(small_synth.cost.max())
     rows = noise_sensitivity(small_synth, [0.0], budget, seed=3, indices=idx)
-    picks = oracle_select_batch(small_synth, idx, budget)
+    picks, _ = select_under_budget_batch(small_synth.perf[idx], small_synth.cost[idx], budget)
     expect_acc = float(np.mean(small_synth.perf[idx, picks]))
     strongest = int(np.argmax(small_synth.cost[idx].mean(axis=0)))
     expect_share = float(np.mean(picks == strongest))

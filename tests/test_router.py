@@ -16,6 +16,7 @@ from equirouter.router import (
     _assign_layers,
     _init_two_layer,
     _layer_params,
+    _nearest,
     _regressor_objective,
     assign_params,
     build_pair_set,
@@ -606,6 +607,53 @@ def test_knn_constant_labels():
     knn = train_knn_router(t, split, k=5)
     scores = router_scores(knn, t, np.asarray(split.test))
     assert np.allclose(scores, [0.3, 0.8])
+
+
+def _knn_reference_scores(table, train_rows, k, q):
+    """Mean perf row of the k nearest training rows by direct differences;
+    distance ties go to the earlier training row."""
+    d2 = ((table.embeddings[train_rows] - q) ** 2).sum(axis=1)
+    nearest = np.argsort(d2, kind="stable")[:k]
+    return table.perf[train_rows[nearest]].mean(axis=0)
+
+
+def test_knn_ties_at_kth_distance_go_to_earlier_rows():
+    # small-integer embeddings take only 16 values, so many training rows
+    # share an embedding and distances are exact: ties at the k-th distance
+    # are common and must resolve toward the earlier training row
+    rng = make_rng(8, 0)
+    n, k = 600, 7
+    t = make_table(
+        perf=rng.random((n, 3)),
+        cost=np.ones((n, 3)),
+        embeddings=rng.integers(0, 4, size=(n, 2)).astype(float),
+    )
+    split = make_split(n, (3, 1, 6), seed=3)
+    knn = train_knn_router(t, split, k=k)
+    train_rows = np.asarray(split.train)
+    want = np.array([_knn_reference_scores(t, train_rows, k, q) for q in t.embeddings])
+
+    d2 = ((t.embeddings[train_rows][None] - t.embeddings[:, None]) ** 2).sum(axis=2)
+    kth = np.sort(d2, axis=1)[:, k - 1 : k]
+    assert ((d2 <= kth).sum(axis=1) > k).mean() > 0.9  # the tie case is exercised
+
+    # all queries (more than one scoring block) and one query at a time
+    assert np.array_equal(knn_scores(knn, t, t.embeddings), want)
+    for i in range(0, n, 7):
+        assert np.array_equal(knn_scores(knn, t, t.embeddings[[i]])[0], want[i])
+        assert np.array_equal(route(knn, t, i, budget=1.0).scores, want[i])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), b=st.integers(1, 5), n=st.integers(1, 12))
+def test_nearest_equals_stable_argsort(data, b, n):
+    # values 0..3 make ties at the k-th distance common; every k from 1 to
+    # past n is checked, so k = 1 and k >= n are always covered
+    cells = st.lists(st.integers(0, 3), min_size=b * n, max_size=b * n)
+    d2 = np.array(data.draw(cells), dtype=float).reshape(b, n)
+    for k in range(1, n + 2):
+        want = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(_nearest(d2, k), want)
 
 
 def test_mlp_memorization_agrees_with_oracle():
