@@ -33,6 +33,12 @@ FiLM and model projections and the head's output layer backpropagate through
 first layer are differentiated here. Every trainer runs the same epoch loop
 (`_fit`) and differs only in its batch objective and validation loss. Tests
 check every gradient against finite differences.
+
+Every router scores a batch in blocks of SCORE_BLOCK = 256 query rows, the
+remainder merged into the last (256-511 rows): scoring memory is O(511 * K * D),
+for kNN O(511 * n_train), plus the (N, K) result, whatever N. Blocks at fixed
+multiples of 256 rows keep the BLAS kernels' row grouping, so scores are
+bit-identical to one whole-batch call.
 """
 
 from __future__ import annotations
@@ -59,6 +65,8 @@ from .oracle import select_under_budget
 from .rng import STREAM_INIT, STREAM_SHUFFLE, make_rng
 
 COST_FLOOR = float(np.finfo(np.float64).tiny)
+SCORE_BLOCK = 256  # query rows per scoring block; see the module docstring
+BLOW_UP = 1e6  # a batch loss over this times the first batch's is divergence
 
 # splits are either a SplitIndices or a raw (train, valid) index pair; the
 # latter lets training-set evaluation train on every query
@@ -259,9 +267,17 @@ def _backward_scores(p: EquiRouterParams, cache, dS: np.ndarray) -> list[np.ndar
     ]
 
 
+def _in_blocks(score, Q: np.ndarray) -> np.ndarray:
+    """score(Q) over consecutive SCORE_BLOCK-row blocks, the remainder in the last."""
+    n = len(Q)
+    if n < 2 * SCORE_BLOCK:
+        return score(Q)
+    edges = [*range(0, n - n % SCORE_BLOCK, SCORE_BLOCK), n]
+    return np.concatenate([score(Q[a:b]) for a, b in zip(edges, edges[1:])])
+
+
 def scores_batch(p: EquiRouterParams, Q: np.ndarray) -> np.ndarray:
-    s, _ = _forward_scores(p, Q)
-    return s
+    return _in_blocks(lambda q: _forward_scores(p, q)[0], np.asarray(Q, dtype=np.float64))
 
 
 def score_all(p: EquiRouterParams, q_embed: np.ndarray) -> np.ndarray:
@@ -270,24 +286,6 @@ def score_all(p: EquiRouterParams, q_embed: np.ndarray) -> np.ndarray:
     if q_embed.ndim != 1:
         raise ValueError("q_embed must be a single vector")
     return scores_batch(p, q_embed[None, :])[0]
-
-
-def per_query_mac_counts(p: EquiRouterParams) -> tuple[int, int]:
-    """(trunk_macs, per_model_macs): multiply-accumulate counts per query.
-
-    The trunk runs once per query regardless of K; per model the router
-    applies the modulation, the interaction blocks and the head. The film/proj
-    projections and the head's e_j block c depend only on the model embeddings
-    and are computed once per scoring call, so they amortize to zero per query.
-    """
-    trunk = sum(l.in_dim * l.out_dim for l in p.trunk)
-    D = p.latent_dim
-    per_model = 2 * D  # gamma * z + beta, and the head's output layer D -> 1
-    if p.joint_feature:
-        per_model += 2 * D + 3 * D * D  # z_j * e_j, |z_j - e_j|; blocks z, u, v
-    else:
-        per_model += D * D  # the head's z_j block
-    return trunk, per_model
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +424,13 @@ def _fit(
     validation signal) scores them. Logs both losses per epoch, leaves the
     lowest-validation-loss epoch installed (else the last), and raises
     FloatingPointError once a loss or an updated parameter is not finite.
+    A finite batch loss over BLOW_UP times the first (pre-update) one raises
+    it after the last epoch, naming its epoch, unless the run overflows first.
     """
     adam = init_adam(plist, learning_rate=hyper.learning_rate, weight_decay=weight_decay)
     log: list[TrainLogRow] = []
     best = (np.inf, [v.copy() for v in plist])
+    first, blow_up = None, None
     for epoch in range(hyper.epochs):
         rng = make_rng(hyper.seed, STREAM_SHUFFLE, epoch)
         total, count = 0.0, 0
@@ -437,6 +438,9 @@ def _fit(
             loss, grads = batch_objective(batch)
             plist = adam_step(adam, plist, grads)
             _check_finite(epoch, "batch loss", loss, plist)
+            first = loss if first is None else first
+            if blow_up is None and loss > BLOW_UP * first:
+                blow_up = (epoch, loss)
             assign(plist)
             total += loss * batch.size
             count += batch.size
@@ -447,6 +451,10 @@ def _fit(
         log.append(TrainLogRow(epoch=epoch, train_loss=total / count, val_loss=vl))
         if vl < best[0]:
             best = (vl, [v.copy() for v in plist])
+    if blow_up is not None:
+        epoch, loss = blow_up
+        raise FloatingPointError(f"training diverged at epoch {epoch}: batch loss {loss:.3g} "
+                                 f"is over {BLOW_UP:g} times the first batch loss {first:.3g}")
     if np.isfinite(best[0]):
         assign(best[1])
     return log
@@ -652,9 +660,11 @@ def train_cost_predictor(
 
 def predict_costs(cp: CostPredictorParams, Q: np.ndarray) -> np.ndarray:
     """De-standardized cost predictions, floored at the smallest positive float."""
-    Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
-    y, _ = forward_layers([cp.hidden_layer, cp.output_layer], Q)
-    return np.maximum(y * cp.target_std + cp.target_mean, COST_FLOOR)
+    def block(q: np.ndarray) -> np.ndarray:
+        y = forward_layers([cp.hidden_layer, cp.output_layer], q)[0]
+        return np.maximum(y * cp.target_std + cp.target_mean, COST_FLOOR)
+
+    return _in_blocks(block, np.atleast_2d(np.asarray(Q, dtype=np.float64)))
 
 
 def train_mlp_router(
@@ -677,10 +687,6 @@ def train_mlp_router(
 
 # ---------------------------------------------------------------------------
 # kNN baseline and oracle sentinel
-
-
-# query rows per kNN distance block: scoring holds O(KNN_BLOCK * n_train)
-KNN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -751,13 +757,7 @@ def knn_scores(knn: KnnRouterParams, table: RoutingTable, Q: np.ndarray) -> np.n
         d2 = (q * q).sum(axis=1, keepdims=True) + r_sq[None, :] - 2.0 * (q @ ref.T)
         return ref_perf[_nearest(d2, k)].mean(axis=1)
 
-    if len(Q) <= KNN_BLOCK:
-        return block(Q)
-    # near-equal blocks of at most KNN_BLOCK rows, so memory is
-    # O(KNN_BLOCK * n_train); none is a single row, whose product would take
-    # BLAS's matrix-vector path and round differently from the batch's
-    n_blocks = -(-len(Q) // KNN_BLOCK)
-    return np.concatenate([block(q) for q in np.array_split(Q, n_blocks)])
+    return _in_blocks(block, Q)
 
 
 @dataclass(frozen=True)
@@ -795,7 +795,7 @@ def router_scores(
         return scores_batch(router, table.embeddings[indices])
     if isinstance(router, MlpRouterParams):
         layers = [router.hidden_layer, router.output_layer]
-        return forward_layers(layers, table.embeddings[indices])[0]
+        return _in_blocks(lambda q: forward_layers(layers, q)[0], table.embeddings[indices])
     if isinstance(router, KnnRouterParams):
         return knn_scores(router, table, table.embeddings[indices])
     raise TypeError(f"unknown router type {type(router)!r}")

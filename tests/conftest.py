@@ -1,5 +1,12 @@
-import numpy as np
-import pytest
+import os
+
+# the determinism contract is single-threaded BLAS, as the CI and the
+# benchmark run it; set before numpy loads BLAS
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from equirouter.dataset import ModelInfo, RoutingTable, SynthConfig, generate_synthetic
 from equirouter.router import MlpHyper, train_mlp_router

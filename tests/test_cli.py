@@ -257,6 +257,20 @@ def test_cmd_train_nonfinite_training_exits_2(tmp_path, capsys, router, reason):
     assert not (out / "train_log.csv").exists()
 
 
+def test_cmd_train_finite_blow_up_exits_2(tmp_path, capsys):
+    # at lr 1e6 the MLP's batch losses jump from about 1 to 1e23-1e27 and
+    # stay finite, so only the relative check catches the divergence
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, DIVERGING_CONFIG, router="mlp", out=out)
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", cfg]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    pattern = r"training diverged at epoch 0: batch loss \S+ is over 1e\+06 times the first"
+    assert re.search(pattern, err), err
+    assert not (out / "mlp.ckpt").exists()
+    assert not (out / "train_log.csv").exists()
+
+
 def _save_split_of(n):
     return lambda path: save_split(make_split(n, (3, 1, 6), 42), path)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from hypothesis import strategies as st
 from equirouter.dataset import ModelInfo, RoutingTable, SynthConfig, generate_synthetic, make_split
 from equirouter.neuralnet import grad_check
 from equirouter.oracle import oracle_select, select_under_budget
+import equirouter.router as router_module
 from equirouter.rng import make_rng
 from equirouter.router import (
+    CostPredictorParams,
     EquiHyper,
     MlpHyper,
+    MlpRouterParams,
     OracleRouter,
     _assign_layers,
     _init_two_layer,
@@ -26,7 +30,6 @@ from equirouter.router import (
     load_router,
     mse_objective,
     params_list,
-    per_query_mac_counts,
     predict_costs,
     ranking_loss,
     ranking_objective,
@@ -194,6 +197,25 @@ def test_score_permutation_invariance():
     assert score_all(p, x) == pytest.approx(base[perm], rel=1e-12)
 
 
+def per_query_mac_counts(p) -> tuple[int, int]:
+    """Reference spec: (trunk_macs, per_model_macs), the multiply-accumulate
+    counts per query of `scores_batch`.
+
+    The trunk runs once per query regardless of K; per model the router
+    applies the modulation, the interaction blocks and the head. The film/proj
+    projections and the head's e_j block c depend only on the model embeddings
+    and are computed once per block, so they amortize to zero per query.
+    """
+    trunk = sum(l.in_dim * l.out_dim for l in p.trunk)
+    D = p.latent_dim
+    per_model = 2 * D  # gamma * z + beta, and the head's output layer D -> 1
+    if p.joint_feature:
+        per_model += 2 * D + 3 * D * D  # z_j * e_j, |z_j - e_j|; blocks z, u, v
+    else:
+        per_model += D * D  # the head's z_j block
+    return trunk, per_model
+
+
 def test_per_query_mac_counts_linear_in_k():
     h4 = tiny_hyper(5, 4)
     h8 = tiny_hyper(5, 8)
@@ -213,6 +235,89 @@ def test_per_query_mac_counts_exact(joint):
     p = init_equirouter(tiny_hyper(5, 4), joint_feature=joint)
     per_model = 8 + 2 * 8 + 3 * 64 + 8 if joint else 8 + 64 + 8
     assert per_query_mac_counts(p) == (5 * 8 + 8 * 8, per_model)
+
+
+# ---------------------------------------------------------------------------
+# scoring in fixed blocks of SCORE_BLOCK rows
+
+
+@pytest.fixture(scope="module")
+def k11_table():
+    return generate_synthetic(
+        SynthConfig(n_queries=2049, n_models=11, embed_dim=24, tie_fraction=0.5, noise_seed=5)
+    )
+
+
+@pytest.mark.parametrize("n", [511, 512, 513, 767, 1000, 2049])
+def test_block_scoring_is_bitwise_one_batch(monkeypatch, k11_table, n):
+    # fixed 256-row blocks keep every row where the one-batch BLAS products
+    # put it, so scores agree to the bit, not just to rounding
+    t, idx = k11_table, np.arange(n)
+    Q = t.embeddings[idx]
+    equi = [
+        init_equirouter(EquiHyper(d_q=24, n_models=11, d_m=16, latent_dim=64), joint_feature=j)
+        for j in (True, False)
+    ]
+    h = MlpHyper(d_q=24, n_models=11, hidden=64)
+    mlp = MlpRouterParams(*_init_two_layer(h), hyper=h)
+    cp = CostPredictorParams(
+        *_init_two_layer(MlpHyper(d_q=24, n_models=11, hidden=64, seed=1)),
+        target_mean=np.linspace(1.0, 3.0, 11),
+        target_std=np.linspace(0.5, 1.5, 11),
+        hyper=h,
+    )
+    knn = train_knn_router(t, (np.arange(0, 2049, 2), np.array([], dtype=int)), k=9)
+
+    def scores():
+        return [
+            *(scores_batch(p, Q) for p in equi),
+            predict_costs(cp, Q),
+            router_scores(mlp, t, idx),
+            knn_scores(knn, t, Q),
+        ]
+
+    blocked = scores()
+    monkeypatch.setattr(router_module, "SCORE_BLOCK", n)  # n < 2 * n: one call
+    for got, want in zip(blocked, scores()):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, sizes", [
+    (1, [1]), (511, [511]), (512, [256, 256]), (767, [256, 511]), (768, [256, 256, 256]),
+])
+def test_scores_batch_block_sizes(monkeypatch, n, sizes):
+    p = init_equirouter(tiny_hyper(5, 3))
+    seen = []
+    forward_scores = router_module._forward_scores
+
+    def counting(p, Q):
+        seen.append(len(Q))
+        return forward_scores(p, Q)
+
+    monkeypatch.setattr(router_module, "_forward_scores", counting)
+    Q = make_rng(1, 0).standard_normal((n, 5))
+    S = scores_batch(p, Q)
+    assert seen == sizes and S.shape == (n, 3)
+    if n == 1:  # the single-query path is one call too
+        seen.clear()
+        assert np.array_equal(score_all(p, Q[0]), S[0]) and seen == [1]
+
+
+def test_scores_batch_memory_flat_in_batch_size():
+    # beyond the (N, K) result itself, scoring holds one block's arrays
+    p = init_equirouter(EquiHyper(d_q=24, n_models=11, d_m=16, latent_dim=64))
+
+    def working_memory(n):
+        Q = make_rng(2, 0).standard_normal((n, 24))
+        tracemalloc.start()
+        try:
+            S = scores_batch(p, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - S.nbytes
+
+    assert working_memory(16384) <= 1.10 * working_memory(4096)
 
 
 # ---------------------------------------------------------------------------
