@@ -18,7 +18,6 @@ from equirouter.router import (
     train_knn_router,
     train_mlp_router,
     train_mse_ablation,
-    train_no_joint_ablation,
 )
 
 
@@ -57,7 +56,7 @@ def main() -> None:
     routers = {
         "oracle": OracleRouter(),
         "equirouter": train_equirouter(table, split, equi_hyper)[0],
-        "w/o joint feature": train_no_joint_ablation(table, split, equi_hyper)[0],
+        "w/o joint feature": train_equirouter(table, split, equi_hyper, joint_feature=False)[0],
         "w/o ranking loss": train_mse_ablation(table, split, equi_hyper)[0],
         "knn (k=50)": train_knn_router(table, split, k=50),
         "mlp": train_mlp_router(table, split, mlp_hyper)[0],

@@ -126,8 +126,8 @@ class ExperimentConfig:
                 validate_synth_config(self.synth)
             except ValueError as exc:
                 raise ConfigError(f"invalid synth settings: {exc}") from exc
-        if any(r <= 0 for r in self.split_ratio):
-            raise ConfigError("split ratio parts must be positive")
+        if not all(np.isfinite(r) and r > 0 for r in self.split_ratio):
+            raise ConfigError(f"split.ratio must be finite and > 0, got {self.split_ratio}")
         for key in ("train.epochs", "train.batch_size", "train.latent_dim",
                     "train.model_dim", "train.hidden", "knn.k"):
             value = getattr(self, CONFIG_KEYS[key][0])
@@ -137,6 +137,12 @@ class ExperimentConfig:
             raise ConfigError(f"train.lr must be > 0, got {self.lr}")
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ConfigError(f"train.weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not all(np.isfinite(v) and v >= 0 for v in self.sigmas):
+            raise ConfigError(f"diagnose.sigmas must be finite and >= 0, got {self.sigmas}")
+        if not all(np.isfinite(t) for t in self.margin_thresholds):
+            raise ConfigError(
+                f"diagnose.margin_thresholds must be finite, got {self.margin_thresholds}"
+            )
         if sorted(self.margin_thresholds) != list(self.margin_thresholds):
             raise ConfigError("diagnose.margin_thresholds must be sorted ascending")
 
@@ -355,11 +361,9 @@ def _train_router(cfg: ExperimentConfig, table: RoutingTable, split: SplitIndice
         batch_size=cfg.batch_size,
         seed=cfg.train_seed,
     )
-    if cfg.router == "equirouter":
-        return rt.train_equirouter(table, split, hyper)
-    if cfg.router == "equirouter-nojoint":
-        return rt.train_no_joint_ablation(table, split, hyper)
-    return rt.train_mse_ablation(table, split, hyper)
+    if cfg.router == "mse":
+        return rt.train_mse_ablation(table, split, hyper)
+    return rt.train_equirouter(table, split, hyper, joint_feature=cfg.router == "equirouter")
 
 
 def _write_train_log(log, path: Path) -> None:

@@ -111,11 +111,12 @@ def validate_table(table: RoutingTable) -> None:
     if bad.size:
         n, d = bad[0]
         raise ValueError(f"non-finite embedding value at (query {n}, dim {d})")
-    bad = np.argwhere(~np.isfinite(table.perf))
-    if bad.size:
-        n, j = bad[0]
-        raise ValueError(f"non-finite perf at ({n},{j})")
-    bad = np.argwhere(~(table.cost > 0) | ~np.isfinite(table.cost))
+    for name, mat in (("perf", table.perf), ("cost", table.cost)):
+        bad = np.argwhere(~np.isfinite(mat))
+        if bad.size:
+            n, j = bad[0]
+            raise ValueError(f"non-finite {name} at ({n},{j})")
+    bad = np.argwhere(table.cost <= 0)
     if bad.size:
         n, j = bad[0]
         raise ValueError(f"nonpositive cost at ({n},{j})")

@@ -26,6 +26,11 @@ ACTIVATIONS = ("identity", "relu")
 
 CKPT_MAGIC = b"EQRCKPT1"
 
+# Adam's moment decay rates and denominator floor, the same for every trainer
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass
 class DenseLayer:
@@ -132,9 +137,6 @@ class AdamState:
     """Adam moments plus decoupled weight decay (applied outside the moments)."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
@@ -145,15 +147,9 @@ def init_adam(
     params: Sequence[np.ndarray],
     learning_rate: float = 1e-3,
     weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
 ) -> AdamState:
     return AdamState(
         learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
         weight_decay=weight_decay,
         m=[np.zeros_like(p) for p in params],
         v=[np.zeros_like(p) for p in params],
@@ -173,17 +169,17 @@ def adam_step(
         raise ValueError("parameter/gradient lists do not match optimizer state")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     out = []
     for i, (p, g) in enumerate(zip(params, grads)):
         if p.shape != g.shape:
             raise ValueError(f"param {i} shape {p.shape} != grad shape {g.shape}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
-        new = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        new = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
         if state.weight_decay:
             new = new - state.learning_rate * state.weight_decay * p
         out.append(new)

@@ -1,4 +1,4 @@
-"""Ground-truth routing rule, margins, label-noise intervention, Monte Carlo.
+"""Ground-truth routing rule, true-performance margins, Monte Carlo win rates.
 
 The oracle picks, per query and budget, the feasible model with the highest
 true performance, breaking ties by lowest cost and then lowest index. The
@@ -20,13 +20,13 @@ compares and gathers, so it is exact: no arithmetic touches a score or cost.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import RoutingTable
-from .rng import STREAM_MC, STREAM_NOISE, make_rng
+from .rng import STREAM_MC, make_rng
 
 
 @dataclass(frozen=True)
@@ -164,31 +164,6 @@ def margin_stats(
     return MarginStats(margins=margins, tie_rate=tie_rate, cdf_at=cdf)
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Additive Gaussian label noise: perf + N(0, sigma^2), seeded."""
-
-    sigma: float
-    seed: int
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-
-
-def inject_noise(table: RoutingTable, cfg: NoiseConfig) -> RoutingTable:
-    """Copy of the table with i.i.d. Gaussian noise added to every perf entry.
-
-    Costs and embeddings are untouched; sigma = 0 returns a bit-identical
-    copy. Deterministic for a fixed config.
-    """
-    if cfg.sigma == 0.0:
-        return replace(table)
-    rng = make_rng(cfg.seed, STREAM_NOISE)
-    noisy = table.perf + cfg.sigma * rng.standard_normal(table.perf.shape)
-    return replace(table, perf=noisy)
-
-
 def mc_selection_frequencies(
     a: np.ndarray, sigma: float, trials: int, seed: int
 ) -> np.ndarray:
@@ -217,25 +192,9 @@ def mc_selection_frequencies(
     return wins / trials
 
 
-def mc_standard_errors(freq: np.ndarray, trials: int) -> np.ndarray:
-    """Binomial standard error of each estimated frequency."""
-    return np.sqrt(freq * (1.0 - freq) / trials)
-
-
 def write_margin_cdf_csv(stats: MarginStats, path: Path | str) -> None:
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["threshold", "cdf"])
         for t in sorted(stats.cdf_at):
             w.writerow([repr(t), repr(stats.cdf_at[t])])
-
-
-def write_mc_frequencies_csv(
-    freq: np.ndarray, trials: int, path: Path | str
-) -> None:
-    err = mc_standard_errors(freq, trials)
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["model", "frequency", "stderr"])
-        for j, (f, e) in enumerate(zip(freq, err)):
-            w.writerow([j, repr(float(f)), repr(float(e))])

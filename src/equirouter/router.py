@@ -280,14 +280,6 @@ def scores_batch(p: EquiRouterParams, Q: np.ndarray) -> np.ndarray:
     return _in_blocks(lambda q: _forward_scores(p, q)[0], np.asarray(Q, dtype=np.float64))
 
 
-def score_all(p: EquiRouterParams, q_embed: np.ndarray) -> np.ndarray:
-    """Score vector s(q) of length K for a single query embedding."""
-    q_embed = np.asarray(q_embed, dtype=np.float64)
-    if q_embed.ndim != 1:
-        raise ValueError("q_embed must be a single vector")
-    return scores_batch(p, q_embed[None, :])[0]
-
-
 # ---------------------------------------------------------------------------
 # ranking supervision
 
@@ -478,13 +470,6 @@ def train_equirouter(
     return _train_scores(
         table, train_idx, valid_idx, hyper, joint_feature=joint_feature, objective="rank"
     )
-
-
-def train_no_joint_ablation(
-    table: RoutingTable, split, hyper: EquiHyper | None = None
-) -> tuple[EquiRouterParams, list[TrainLogRow]]:
-    """Ablation: scoring head sees [z_j, e_j] only (no interaction blocks)."""
-    return train_equirouter(table, split, hyper, joint_feature=False)
 
 
 def train_mse_ablation(

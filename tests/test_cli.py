@@ -132,6 +132,11 @@ def test_config_value_error_names_its_key(tmp_path, capsys):
         ("train.lr", "nan"),
         ("train.weight_decay", "-1e-4"),
         ("train.weight_decay", "inf"),
+        ("diagnose.sigmas", "0,-0.1"),
+        ("diagnose.sigmas", "0,nan"),
+        ("diagnose.margin_thresholds", "0,nan,0.5"),
+        ("split.ratio", "nan:1:1"),
+        ("split.ratio", "inf:1:1"),
     ],
 )
 def test_out_of_range_training_values_rejected_before_any_write(tmp_path, capsys, key, value):

@@ -128,6 +128,19 @@ def test_load_rejects_bad_cost(tmp_path, small_synth):
         load_table(tmp_path / "t")
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_nonfinite_cost_is_named_non_finite(tmp_path, small_synth, value):
+    save_table(small_synth, tmp_path / "t")
+    bad = (tmp_path / "t" / "cost.csv").read_text().splitlines()
+    bad[2] = ",".join([value] + bad[2].split(",")[1:])
+    (tmp_path / "t" / "cost.csv").write_text("\n".join(bad) + "\n")
+    with pytest.raises(ValueError, match=r"non-finite cost at \(2,0\)"):
+        load_table(tmp_path / "t")
+    with pytest.raises(ValueError, match=r"non-finite cost at \(0,1\)"):
+        generate_synthetic(SynthConfig(n_queries=20, n_models=4, embed_dim=3,
+                                       cost_spread=np.inf))
+
+
 def _drop_last_cell(line):
     return line.rsplit(",", 1)[0]
 

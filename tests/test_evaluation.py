@@ -367,6 +367,9 @@ def test_noise_sensitivity_noise_cannot_beat_oracle(small_synth):
     budget = float(small_synth.cost.max())
     rows = noise_sensitivity(small_synth, [0.0, 0.1, 0.5], budget, seed=4)
     assert all(r.accuracy <= rows[0].accuracy + 1e-12 for r in rows)
+    assert noise_sensitivity(small_synth, [0.0, 0.1, 0.5], budget, seed=4) == rows
+    with pytest.raises(ValueError, match="sigma must be nonnegative"):
+        noise_sensitivity(small_synth, [0.1, -0.1], budget, seed=4)
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,14 @@ from hypothesis import strategies as st
 from equirouter.dataset import SynthConfig, generate_synthetic
 from equirouter.evaluation import noise_sensitivity, sweep
 from equirouter.oracle import (
-    NoiseConfig,
     feasible_set,
-    inject_noise,
     margin,
     margin_stats,
     mc_selection_frequencies,
-    mc_standard_errors,
     oracle_select,
     select_under_budget,
     select_under_budget_batch,
     write_margin_cdf_csv,
-    write_mc_frequencies_csv,
 )
 from equirouter.router import OracleRouter
 
@@ -210,38 +206,6 @@ def test_margin_stats_synthetic_regime():
 
 
 # ---------------------------------------------------------------------------
-# label-noise intervention
-
-
-def test_inject_noise_sigma_zero_is_identity(small_synth):
-    noisy = inject_noise(small_synth, NoiseConfig(sigma=0.0, seed=1))
-    assert np.array_equal(noisy.perf, small_synth.perf)
-
-
-def test_inject_noise_deterministic(small_synth):
-    a = inject_noise(small_synth, NoiseConfig(sigma=0.3, seed=5))
-    b = inject_noise(small_synth, NoiseConfig(sigma=0.3, seed=5))
-    assert np.array_equal(a.perf, b.perf)
-    assert np.array_equal(a.cost, small_synth.cost)
-    assert np.array_equal(a.embeddings, small_synth.embeddings)
-
-
-def test_inject_noise_unbiased():
-    t = generate_synthetic(
-        SynthConfig(n_queries=20_000, n_models=5, embed_dim=4, noise_seed=0)
-    )
-    sigma = 0.1
-    noisy = inject_noise(t, NoiseConfig(sigma=sigma, seed=2))
-    added = noisy.perf - t.perf
-    assert abs(added.mean()) <= 3 * sigma / np.sqrt(added.size)
-
-
-def test_inject_noise_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        NoiseConfig(sigma=-0.1, seed=0)
-
-
-# ---------------------------------------------------------------------------
 # Monte Carlo selection frequencies
 
 
@@ -253,7 +217,7 @@ def test_mc_dominant_mean():
 def test_mc_symmetric_means():
     trials = 100_000
     freq = mc_selection_frequencies(np.zeros(3), 1.0, trials, seed=2)
-    err = mc_standard_errors(freq, trials)
+    err = np.sqrt(freq * (1.0 - freq) / trials)  # binomial standard error
     for f, e in zip(freq, err):
         assert abs(f - 1 / 3) <= 3 * e
 
@@ -290,15 +254,6 @@ def test_margin_cdf_csv(tmp_path):
     assert rows[0] == "threshold,cdf"
     parsed = [tuple(float(v) for v in r.split(",")) for r in rows[1:]]
     assert parsed[0] == (0.0, 0.5) and parsed[-1] == (1.0, 1.0)
-
-
-def test_mc_frequencies_csv(tmp_path):
-    freq = mc_selection_frequencies(np.array([1.0, 0.0]), 0.1, 1000, seed=0)
-    path = tmp_path / "mc.csv"
-    write_mc_frequencies_csv(freq, 1000, path)
-    rows = path.read_text().splitlines()
-    assert rows[0] == "model,frequency,stderr"
-    assert len(rows) == 3
 
 
 # ---------------------------------------------------------------------------

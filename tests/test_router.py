@@ -37,14 +37,12 @@ from equirouter.router import (
     router_scores,
     save_cost_predictor,
     save_router,
-    score_all,
     scores_batch,
     train_cost_predictor,
     train_equirouter,
     train_knn_router,
     train_mlp_router,
     train_mse_ablation,
-    train_no_joint_ablation,
 )
 
 from conftest import make_table
@@ -146,7 +144,7 @@ def _reference_scores(p, x):
 def test_score_all_identical_model_embeddings_tie():
     p = init_equirouter(tiny_hyper(5, 3, seed=2))
     p.model_embeddings = np.tile(p.model_embeddings[0], (3, 1))
-    s = score_all(p, np.arange(5.0))
+    s = scores_batch(p, np.arange(5.0)[None])[0]
     assert s[0] == s[1] == s[2]
 
 
@@ -155,7 +153,7 @@ def test_score_all_zeroed_head_gives_bias():
     for layer in p.score_head:
         layer.weight = np.zeros_like(layer.weight)
     p.score_head[-1].bias = np.array([0.25])
-    assert score_all(p, np.zeros(5)) == pytest.approx([0.25, 0.25, 0.25])
+    assert scores_batch(p, np.zeros((1, 5)))[0] == pytest.approx([0.25, 0.25, 0.25])
 
 
 @pytest.mark.parametrize("joint", [True, False])
@@ -164,7 +162,7 @@ def test_score_all_matches_reference_pipeline(joint):
     rng = make_rng(9, 0)
     for _ in range(5):
         x = rng.standard_normal(6)
-        assert score_all(p, x) == pytest.approx(_reference_scores(p, x), rel=1e-12)
+        assert scores_batch(p, x[None])[0] == pytest.approx(_reference_scores(p, x), rel=1e-12)
 
 
 def _tie_first_coordinate(p):
@@ -191,10 +189,10 @@ def test_scores_batch_matches_reference_pipeline(joint):
 def test_score_permutation_invariance():
     p = init_equirouter(tiny_hyper(5, 4, seed=5))
     x = make_rng(10, 0).standard_normal(5)
-    base = score_all(p, x)
+    base = scores_batch(p, x[None])[0]
     perm = np.array([2, 0, 3, 1])
     p.model_embeddings = p.model_embeddings[perm]
-    assert score_all(p, x) == pytest.approx(base[perm], rel=1e-12)
+    assert scores_batch(p, x[None])[0] == pytest.approx(base[perm], rel=1e-12)
 
 
 def per_query_mac_counts(p) -> tuple[int, int]:
@@ -298,9 +296,10 @@ def test_scores_batch_block_sizes(monkeypatch, n, sizes):
     Q = make_rng(1, 0).standard_normal((n, 5))
     S = scores_batch(p, Q)
     assert seen == sizes and S.shape == (n, 3)
-    if n == 1:  # the single-query path is one call too
+    if n == 1:  # the single-query route() path is one call too
         seen.clear()
-        assert np.array_equal(score_all(p, Q[0]), S[0]) and seen == [1]
+        table = make_table(perf=np.zeros((1, 3)), cost=np.ones((1, 3)), embeddings=Q)
+        assert np.array_equal(route(p, table, 0, 1.0).scores, S[0]) and seen == [1]
 
 
 def test_scores_batch_memory_flat_in_batch_size():
@@ -578,11 +577,11 @@ def test_mse_ablation_deterministic(tmp_path):
 def test_no_joint_ablation_head_width_and_tie():
     t = separable_two_model_table(n=60)
     split = make_split(t.n_queries, (3, 1, 6), seed=42)
-    params, _ = train_no_joint_ablation(t, split, tiny_hyper(4, 2, epochs=2))
+    params, _ = train_equirouter(t, split, tiny_hyper(4, 2, epochs=2), joint_feature=False)
     assert params.score_head[0].in_dim == 2 * params.latent_dim
     assert params.tag == "equirouter_nojoint"
     params.model_embeddings = np.tile(params.model_embeddings[0], (2, 1))
-    s = score_all(params, np.zeros(4))
+    s = scores_batch(params, np.zeros((1, 4)))[0]
     assert s[0] == s[1]
 
 
@@ -791,7 +790,7 @@ def test_router_checkpoint_round_trip(tmp_path, small_synth):
     loaded = load_router(path)
     assert loaded.tag == "equirouter"
     x = small_synth.embeddings[0]
-    assert score_all(loaded, x) == pytest.approx(score_all(params, x), rel=0, abs=0)
+    assert np.array_equal(scores_batch(loaded, x[None]), scores_batch(params, x[None]))
 
 
 def test_all_router_kinds_round_trip(tmp_path, small_synth):
@@ -801,7 +800,7 @@ def test_all_router_kinds_round_trip(tmp_path, small_synth):
     mhyper = MlpHyper(d_q=small_synth.embed_dim, n_models=small_synth.n_models,
                       hidden=8, epochs=2, batch_size=64)
     routers = {
-        "equirouter_nojoint": train_no_joint_ablation(small_synth, split, hyper)[0],
+        "equirouter_nojoint": train_equirouter(small_synth, split, hyper, joint_feature=False)[0],
         "mse": train_mse_ablation(small_synth, split, hyper)[0],
         "mlp": train_mlp_router(small_synth, split, mhyper)[0],
         "knn": train_knn_router(small_synth, split, k=3),
