@@ -3,11 +3,19 @@
 directory that another checkout's run can be compared with by `diff -r`.
 
 On one small synthetic config (1000 queries, so the 600-query test split is
-scored in two blocks) it runs `synth`, then `train`, `sweep --checkpoint`,
-`diagnose` and `pipeline` for each router kind, each through `python -m
-equirouter.cli` on the package source beside this script, with one BLAS
-thread. Each command writes its outputs to OUT/<step>/ and its command line,
-stdout, stderr and exit code to OUT/<step>.log. Commands run inside OUT with
+scored in two blocks, 256 rows then 344) it runs `synth`, then `train`,
+`sweep --checkpoint`, `diagnose` and `pipeline` for each router kind, each
+through `python -m equirouter.cli` on the package source beside this script,
+with one BLAS thread. Two more sweeps must be refused with exit 1 before any
+write: `refuse-kind` offers the EquiRouter checkpoint as an MLP, and
+`refuse-split` offers the kNN checkpoint to a run at another split.seed.
+Last, `run_ablation.py` and `run_noise_collapse.py` run at 600 queries.
+The script exits 1 if a step exits otherwise than expected (1 for the two
+refusals and for training the oracle, 0 for the rest) or a refused step
+writes its output directory; it still writes every step first.
+
+Each step writes its outputs to OUT/<step>/ and its command line, stdout,
+stderr and exit code to OUT/<step>.log. Commands run inside OUT with
 relative paths, so nothing under OUT names where OUT is. Timing is printed,
 never written under OUT.
 
@@ -23,7 +31,8 @@ import sys
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 from equirouter.cli import ROUTER_KINDS  # noqa: E402
 
@@ -50,12 +59,25 @@ diagnose.sigmas = 0,0.1,0.4
 """
 
 
-def run(out: Path, env: dict, step: str, *args: str) -> None:
-    cmd = [sys.executable, "-m", "equirouter.cli", *args]
-    proc = subprocess.run(cmd, cwd=out, env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.STDOUT, text=True)
-    shown = " ".join(["equirouter", *args])
+# steps that must exit 1 and write nothing; every other step must exit 0
+REFUSED = ("oracle-train", "refuse-kind", "refuse-split")
+
+
+def run(out: Path, env: dict, step: str, *argv: str) -> int:
+    """Run argv inside OUT, log it to OUT/<step>.log and return its exit code.
+    argv[0] is `equirouter`, run as `python -m equirouter.cli`, or a path
+    under the repository root."""
+    prog = ["-m", "equirouter.cli"] if argv[0] == "equirouter" else [str(ROOT / argv[0])]
+    proc = subprocess.run([sys.executable, *prog, *argv[1:]], cwd=out, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    shown = " ".join(argv)
     (out / f"{step}.log").write_text(f"$ {shown}\n{proc.stdout}exit {proc.returncode}\n")
+    return proc.returncode
+
+
+def cli(step: str, *args: str) -> tuple[str, list[str]]:
+    """A CLI step that writes its outputs to OUT/<step>/."""
+    return step, ["equirouter", *args, "--out", step]
 
 
 def main() -> None:
@@ -69,23 +91,42 @@ def main() -> None:
     # synth, diagnose and pipeline generate the table; train and sweep load it
     (out / "synth.cfg").write_text(SYNTH_KEYS + TRAIN_KEYS)
     (out / "table.cfg").write_text("table = table\n" + TRAIN_KEYS)
+    (out / "split7.cfg").write_text(
+        SYNTH_KEYS + TRAIN_KEYS.replace("split.seed = 42", "split.seed = 7"))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
                    [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
 
-    start = time.perf_counter()
-    run(out, env, "synth", "synth", "--config", "synth.cfg", "--out", "table")
+    steps = [("synth", ["equirouter", "synth", "--config", "synth.cfg", "--out", "table"])]
     for kind in ROUTER_KINDS:
         flags = ["--router", kind]
-        run(out, env, f"{kind}-train", "train", "--config", "table.cfg", *flags,
-            "--out", f"{kind}-train")
         ckpt = [] if kind == "oracle" else ["--checkpoint", f"{kind}-train/{kind}.ckpt"]
-        run(out, env, f"{kind}-sweep", "sweep", "--config", "table.cfg", *flags, *ckpt,
-            "--out", f"{kind}-sweep")
-        for command in ("diagnose", "pipeline"):
-            run(out, env, f"{kind}-{command}", command, "--config", "synth.cfg", *flags,
-                "--out", f"{kind}-{command}")
+        steps += [
+            cli(f"{kind}-train", "train", "--config", "table.cfg", *flags),
+            cli(f"{kind}-sweep", "sweep", "--config", "table.cfg", *flags, *ckpt),
+            cli(f"{kind}-diagnose", "diagnose", "--config", "synth.cfg", *flags),
+            cli(f"{kind}-pipeline", "pipeline", "--config", "synth.cfg", *flags),
+        ]
+    steps += [
+        cli("refuse-kind", "sweep", "--config", "table.cfg", "--router", "mlp",
+            "--checkpoint", "equirouter-train/equirouter.ckpt"),
+        cli("refuse-split", "sweep", "--config", "split7.cfg", "--router", "knn",
+            "--checkpoint", "knn-train/knn.ckpt"),
+        ("run_ablation", ["scripts/run_ablation.py", "--queries", "600", "--epochs", "5"]),
+        ("run_noise_collapse", ["scripts/run_noise_collapse.py", "--queries", "600"]),
+    ]
+
+    start = time.perf_counter()
+    wrong = []
+    for step, argv in steps:
+        code = run(out, env, step, *argv)
+        if code != (1 if step in REFUSED else 0):
+            wrong.append(f"{step} exited {code}")
+        if step in REFUSED and (out / step).exists():
+            wrong.append(f"{step} wrote {step}/")
     print(f"wrote {out} in {time.perf_counter() - start:.1f} s")
+    if wrong:
+        sys.exit("unexpected results: " + "; ".join(wrong))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,16 @@
 """Budget-constrained model routing: data model, oracle rule, EquiRouter,
 baselines, cost predictor, and the evaluation/diagnostics suite."""
 
+import os as _os
+import sys as _sys
+
+# Outputs are byte-identical only under one BLAS thread. BLAS reads these
+# variables once, when numpy loads it, so they can be set here only if numpy
+# is not loaded yet; a value the caller set wins.
+if "numpy" not in _sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, "1")
+
 from .dataset import (
     ModelInfo,
     RoutingTable,

@@ -124,8 +124,8 @@ class ExperimentConfig:
         if self.synth is not None:
             try:
                 validate_synth_config(self.synth)
-            except ValueError as exc:
-                raise ConfigError(f"invalid synth settings: {exc}") from exc
+            except ValueError as exc:  # its messages start with the field name
+                raise ConfigError(f"synth.{exc}") from exc
         if not all(np.isfinite(r) and r > 0 for r in self.split_ratio):
             raise ConfigError(f"split.ratio must be finite and > 0, got {self.split_ratio}")
         for key in ("train.epochs", "train.batch_size", "train.latent_dim",
@@ -137,12 +137,12 @@ class ExperimentConfig:
             raise ConfigError(f"train.lr must be > 0, got {self.lr}")
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ConfigError(f"train.weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if not all(np.isfinite(v) and v >= 0 for v in self.sigmas):
-            raise ConfigError(f"diagnose.sigmas must be finite and >= 0, got {self.sigmas}")
-        if not all(np.isfinite(t) for t in self.margin_thresholds):
-            raise ConfigError(
-                f"diagnose.margin_thresholds must be finite, got {self.margin_thresholds}"
-            )
+        for key in ("diagnose.sigmas", "diagnose.margin_thresholds"):
+            values = getattr(self, CONFIG_KEYS[key][0])
+            if not (values and all(np.isfinite(v) and v >= 0 for v in values)):
+                raise ConfigError(
+                    f"{key} must be one or more finite values >= 0, got {values}"
+                )
         if sorted(self.margin_thresholds) != list(self.margin_thresholds):
             raise ConfigError("diagnose.margin_thresholds must be sorted ascending")
 

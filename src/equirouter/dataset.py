@@ -302,11 +302,12 @@ def validate_synth_config(cfg: SynthConfig) -> None:
     if cfg.embed_dim < 1:
         raise ValueError("embed_dim must be >= 1")
     if not (0.0 <= cfg.tie_fraction <= 1.0):
-        raise ValueError("tie_fraction must lie in [0, 1]")
-    if not (cfg.margin_scale > 0):
-        raise ValueError("margin_scale must be positive")
-    if not (cfg.cost_spread > 1):
-        raise ValueError("cost_spread must exceed 1")
+        raise ValueError("tie_fraction must be in [0, 1]")
+    # an infinite value would surface later as a non-finite table cell
+    if not (np.isfinite(cfg.margin_scale) and cfg.margin_scale > 0):
+        raise ValueError(f"margin_scale must be finite and > 0, got {cfg.margin_scale}")
+    if not (np.isfinite(cfg.cost_spread) and cfg.cost_spread > 1):
+        raise ValueError(f"cost_spread must be finite and > 1, got {cfg.cost_spread}")
 
 
 def generate_synthetic(cfg: SynthConfig) -> RoutingTable:

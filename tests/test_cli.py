@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -134,9 +137,13 @@ def test_config_value_error_names_its_key(tmp_path, capsys):
         ("train.weight_decay", "inf"),
         ("diagnose.sigmas", "0,-0.1"),
         ("diagnose.sigmas", "0,nan"),
+        ("diagnose.sigmas", ","),
         ("diagnose.margin_thresholds", "0,nan,0.5"),
+        ("diagnose.margin_thresholds", "-1,0"),
         ("split.ratio", "nan:1:1"),
         ("split.ratio", "inf:1:1"),
+        ("synth.cost_spread", "inf"),
+        ("synth.margin_scale", "inf"),
     ],
 )
 def test_out_of_range_training_values_rejected_before_any_write(tmp_path, capsys, key, value):
@@ -592,3 +599,29 @@ def test_cmd_pipeline_nojoint_router(tmp_path):
 
     loaded = load_router(out / "equirouter-nojoint.ckpt")
     assert loaded.tag == "equirouter_nojoint" and not loaded.joint_feature
+
+
+# ---------------------------------------------------------------------------
+# package import
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "imports, preset, expected",
+    [
+        ("equirouter", None, ["1", "1", "1"]),
+        ("equirouter", "2", ["2", "1", "1"]),  # the caller's value wins
+        ("numpy, equirouter", None, ["-", "-", "-"]),  # too late once BLAS is loaded
+    ],
+)
+def test_package_import_pins_blas_threads(imports, preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(cli_module.__file__).parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = f"import os, {imports}; print(*(os.environ.get(v, '-') for v in {BLAS_VARS}))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == expected

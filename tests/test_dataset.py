@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,9 +137,10 @@ def test_nonfinite_cost_is_named_non_finite(tmp_path, small_synth, value):
     (tmp_path / "t" / "cost.csv").write_text("\n".join(bad) + "\n")
     with pytest.raises(ValueError, match=r"non-finite cost at \(2,0\)"):
         load_table(tmp_path / "t")
+    cost = small_synth.cost.copy()
+    cost[0, 1] = float(value)
     with pytest.raises(ValueError, match=r"non-finite cost at \(0,1\)"):
-        generate_synthetic(SynthConfig(n_queries=20, n_models=4, embed_dim=3,
-                                       cost_spread=np.inf))
+        replace(small_synth, cost=cost)
 
 
 def _drop_last_cell(line):
@@ -306,6 +308,11 @@ def test_generator_rejects_bad_config():
         generate_synthetic(SynthConfig(tie_fraction=1.5))
     with pytest.raises(ValueError):
         generate_synthetic(SynthConfig(cost_spread=1.0))
+    # infinite knobs are named, not reported later as a non-finite table cell
+    with pytest.raises(ValueError, match="cost_spread must be finite"):
+        generate_synthetic(SynthConfig(cost_spread=np.inf))
+    with pytest.raises(ValueError, match="margin_scale must be finite"):
+        generate_synthetic(SynthConfig(margin_scale=np.inf))
 
 
 def test_generator_embeddings_carry_oracle_signal():
