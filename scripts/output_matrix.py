@@ -9,7 +9,9 @@ through `python -m equirouter.cli` on the package source beside this script,
 with one BLAS thread. Two more sweeps must be refused with exit 1 before any
 write: `refuse-kind` offers the EquiRouter checkpoint as an MLP, and
 `refuse-split` offers the kNN checkpoint to a run at another split.seed.
-Last, `run_ablation.py` and `run_noise_collapse.py` run at 600 queries.
+Last, `run_ablation.py` and `run_noise_collapse.py` run at 600 queries, and
+`synth-9000` writes a 9000-query table that `oracle-sweep-9000` loads, so
+table I/O crosses row-block boundaries (dataset.IO_BLOCK) both ways.
 The script exits 1 if a step exits otherwise than expected (1 for the two
 refusals and for training the oracle, 0 for the rest) or a refused step
 writes its output directory; it still writes every step first.
@@ -93,6 +95,9 @@ def main() -> None:
     (out / "table.cfg").write_text("table = table\n" + TRAIN_KEYS)
     (out / "split7.cfg").write_text(
         SYNTH_KEYS + TRAIN_KEYS.replace("split.seed = 42", "split.seed = 7"))
+    (out / "synth9000.cfg").write_text(
+        SYNTH_KEYS.replace("n_queries = 1000", "n_queries = 9000") + TRAIN_KEYS)
+    (out / "table9000.cfg").write_text("table = synth-9000\n" + TRAIN_KEYS)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
                    [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -114,6 +119,8 @@ def main() -> None:
             "--checkpoint", "knn-train/knn.ckpt"),
         ("run_ablation", ["scripts/run_ablation.py", "--queries", "600", "--epochs", "5"]),
         ("run_noise_collapse", ["scripts/run_noise_collapse.py", "--queries", "600"]),
+        cli("synth-9000", "synth", "--config", "synth9000.cfg"),
+        cli("oracle-sweep-9000", "sweep", "--config", "table9000.cfg", "--router", "oracle"),
     ]
 
     start = time.perf_counter()

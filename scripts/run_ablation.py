@@ -6,8 +6,7 @@ same model at every budget has no cost range, so its nAUC prints as "/"."""
 
 import argparse
 
-import numpy as np
-
+# equirouter first: importing it pins BLAS to one thread, but only before numpy loads
 from equirouter.dataset import SynthConfig, generate_synthetic, make_split
 from equirouter.evaluation import budget_grid, nauc, peak_score, qnc, rci, sweep
 from equirouter.router import (
@@ -19,6 +18,8 @@ from equirouter.router import (
     train_mlp_router,
     train_mse_ablation,
 )
+
+import numpy as np
 
 
 def main() -> None:

@@ -15,18 +15,28 @@ On-disk layout of a table directory::
 
 Floats are written with ``repr``, the shortest representation that parses
 back to the identical 64-bit value, so save -> load is bit-exact.
+
+save_table and load_table stream the row files in blocks of IO_BLOCK rows:
+besides the table itself, they hold the Python objects of one block and, while
+loading, the parsed blocks of the file being read, so working memory is
+O(IO_BLOCK) plus about one copy of the result arrays. The block size changes
+neither the bytes written nor the values loaded nor any error message.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .rng import STREAM_SPLIT, STREAM_SYNTH, make_rng
+
+# Table files are read and written this many rows at a time.
+IO_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -107,19 +117,22 @@ def validate_table(table: RoutingTable) -> None:
             raise ValueError(
                 f"{name} matrix shape {mat.shape} does not match (N={N}, K={K})"
             )
-    bad = np.argwhere(~np.isfinite(table.embeddings))
-    if bad.size:
-        n, d = bad[0]
+    # min and max propagate NaN, so both are finite only if every entry is;
+    # the checks allocate nothing of the table's size unless they fail
+    if not _all_finite(table.embeddings):
+        n, d = np.argwhere(~np.isfinite(table.embeddings))[0]
         raise ValueError(f"non-finite embedding value at (query {n}, dim {d})")
     for name, mat in (("perf", table.perf), ("cost", table.cost)):
-        bad = np.argwhere(~np.isfinite(mat))
-        if bad.size:
-            n, j = bad[0]
+        if not _all_finite(mat):
+            n, j = np.argwhere(~np.isfinite(mat))[0]
             raise ValueError(f"non-finite {name} at ({n},{j})")
-    bad = np.argwhere(table.cost <= 0)
-    if bad.size:
-        n, j = bad[0]
+    if not table.cost.min() > 0:
+        n, j = np.argwhere(table.cost <= 0)[0]
         raise ValueError(f"nonpositive cost at ({n},{j})")
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 @dataclass(frozen=True)
@@ -201,34 +214,109 @@ def save_table(table: RoutingTable, path: Path | str) -> None:
     # json.dumps writes a finite float as its repr, so each line is built
     # directly; validate_table has already rejected non-finite values
     with (root / "queries.jsonl").open("w") as fh:
-        fh.writelines(
-            '{"query_id": ' + json.dumps(qid)
-            + ', "embedding": [' + ", ".join(map(repr, emb)) + "]}\n"
-            for qid, emb in zip(table.query_ids, table.embeddings.tolist())
-        )
+        for s in range(0, table.n_queries, IO_BLOCK):
+            fh.writelines(
+                '{"query_id": ' + json.dumps(qid)
+                + ', "embedding": [' + ", ".join(map(repr, emb)) + "]}\n"
+                for qid, emb in zip(table.query_ids[s:s + IO_BLOCK],
+                                    table.embeddings[s:s + IO_BLOCK].tolist())
+            )
     for name, mat in (("perf", table.perf), ("cost", table.cost)):
         with (root / f"{name}.csv").open("w") as fh:
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in mat.tolist())
+            for s in range(0, len(mat), IO_BLOCK):
+                fh.writelines(",".join(map(repr, row)) + "\n"
+                              for row in mat[s:s + IO_BLOCK].tolist())
+
+
+def _line_blocks(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """Yield (number of the first line, lines) for consecutive blocks of a file.
+
+    The lines are exactly those of `path.read_text().splitlines()`: text mode
+    turns every \\r\\n and \\r into \\n, and splitlines then splits each block
+    of up to IO_BLOCK \\n-terminated lines at the other separators it honours
+    (\\x0c, \\u2028, ...). A block is never empty.
+    """
+    with path.open() as fh:
+        start = 0
+        while lines := "".join(islice(fh, IO_BLOCK)).splitlines():
+            yield start, lines
+            start += len(lines)
+
+
+def _raise_row_error(lines: list[str], start: int, width: int, what: str) -> None:
+    """Raise the error of the first malformed CSV row; rows count from start."""
+    for i, line in enumerate(lines, start):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValueError(f"{what} row {i} has {len(cells)} columns, expected {width}")
+        try:
+            list(map(float, cells))
+        except ValueError as exc:
+            raise ValueError(f"unparseable {what} value in row {i}") from exc
 
 
 def _load_matrix(path: Path, what: str) -> np.ndarray:
     if not path.is_file():
         raise FileNotFoundError(f"missing {path.name}")
-    rows = []
+    blocks = []
     width = None
-    for i, line in enumerate(path.read_text().splitlines()):
-        cells = line.split(",")
+    for start, lines in _line_blocks(path):
         if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise ValueError(f"{what} row {i} has {len(cells)} columns, expected {width}")
+            width = lines[0].count(",") + 1
+        if set(map(str.count, lines, repeat(","))) != {width - 1}:
+            _raise_row_error(lines, start, width, what)
         try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise ValueError(f"unparseable {what} value in row {i}") from exc
-    if not rows:
+            values = np.fromiter(map(float, ",".join(lines).split(",")), np.float64,
+                                 len(lines) * width)
+        except ValueError:
+            _raise_row_error(lines, start, width, what)
+            raise
+        blocks.append(values.reshape(len(lines), width))
+    if not blocks:
         raise ValueError(f"{what} matrix is empty")
-    return np.asarray(rows, dtype=np.float64)
+    return np.concatenate(blocks)
+
+
+def _raise_query_error(lines: list[str], start: int, dim: int | None) -> None:
+    """Raise the error of the first malformed queries.jsonl line; lines count
+    from start, and dim None takes the first line's dimension."""
+    for i, line in enumerate(lines, start):
+        rec = json.loads(line)
+        emb = rec["embedding"]
+        if dim is None:
+            dim = len(emb)
+        elif len(emb) != dim:
+            raise ValueError(
+                f"embedding dimension mismatch at query {i}: {len(emb)} != {dim}"
+            )
+        str(rec["query_id"])
+        list(map(float, emb))
+
+
+def _load_queries(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
+    query_ids: list[str] = []
+    blocks = []
+    dim = None
+    for start, lines in _line_blocks(path):
+        # float() per value, not np.array on the lists: that would let None through as NaN
+        try:
+            recs = list(map(json.loads, lines))
+            embs = [rec["embedding"] for rec in recs]
+            block_dim = len(embs[0]) if dim is None else dim
+            if set(map(len, embs)) != {block_dim}:
+                raise ValueError("embedding dimension mismatch")
+            ids = [str(rec["query_id"]) for rec in recs]
+            values = np.fromiter(map(float, chain.from_iterable(embs)), np.float64,
+                                 len(embs) * block_dim)
+        except (ValueError, TypeError, KeyError):
+            _raise_query_error(lines, start, dim)
+            raise
+        dim = block_dim
+        query_ids += ids
+        blocks.append(values.reshape(len(embs), dim))
+    if not blocks:
+        raise ValueError("queries.jsonl is empty")
+    return tuple(query_ids), np.concatenate(blocks)
 
 
 def load_table(path: Path | str) -> RoutingTable:
@@ -246,31 +334,11 @@ def load_table(path: Path | str) -> RoutingTable:
     queries_path = root / "queries.jsonl"
     if not queries_path.is_file():
         raise FileNotFoundError(f"missing {queries_path}")
-    query_ids: list[str] = []
-    embeddings: list[list[float]] = []
-    dim = None
-    for i, line in enumerate(queries_path.read_text().splitlines()):
-        rec = json.loads(line)
-        emb = rec["embedding"]
-        if dim is None:
-            dim = len(emb)
-        elif len(emb) != dim:
-            raise ValueError(
-                f"embedding dimension mismatch at query {i}: {len(emb)} != {dim}"
-            )
-        query_ids.append(str(rec["query_id"]))
-        embeddings.append([float(v) for v in emb])
-    if not query_ids:
-        raise ValueError("queries.jsonl is empty")
-
+    query_ids, embeddings = _load_queries(queries_path)
     perf = _load_matrix(root / "perf.csv", "perf")
     cost = _load_matrix(root / "cost.csv", "cost")
     return RoutingTable(
-        models=models,
-        query_ids=tuple(query_ids),
-        embeddings=np.asarray(embeddings, dtype=np.float64),
-        perf=perf,
-        cost=cost,
+        models=models, query_ids=query_ids, embeddings=embeddings, perf=perf, cost=cost
     )
 
 

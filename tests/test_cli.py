@@ -625,3 +625,18 @@ def test_package_import_pins_blas_threads(imports, preset, expected):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split() == expected
+
+
+@pytest.mark.parametrize("script", ["run_ablation.py", "run_noise_collapse.py"])
+def test_experiment_scripts_pin_blas_threads(script):
+    # a script run by hand must import equirouter before numpy loads BLAS
+    path = Path(__file__).parents[1] / "scripts" / script
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(cli_module.__file__).parents[1])
+    code = ("import importlib.util, os\n"
+            f"spec = importlib.util.spec_from_file_location('script', {str(path)!r})\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            f"print(*(os.environ.get(v, '-') for v in {BLAS_VARS}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["1", "1", "1"]

@@ -1,11 +1,16 @@
+import io
 import json
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equirouter import dataset as dataset_module
 from equirouter.dataset import (
     ModelInfo,
     RoutingTable,
@@ -129,7 +134,7 @@ def test_load_rejects_bad_cost(tmp_path, small_synth):
         load_table(tmp_path / "t")
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
 def test_nonfinite_cost_is_named_non_finite(tmp_path, small_synth, value):
     save_table(small_synth, tmp_path / "t")
     bad = (tmp_path / "t" / "cost.csv").read_text().splitlines()
@@ -185,6 +190,265 @@ def test_load_error_messages(tmp_path, small_synth, name, row, edit, error):
     with pytest.raises(ValueError) as info:
         load_table(tmp_path / "t")
     assert str(info.value) == error
+
+
+# ---------------------------------------------------------------------------
+# block-streamed I/O against the whole-file reference spec
+
+
+def spec_load_table(path):
+    """Reference spec: the whole-file loader that load_table streams in blocks
+    of IO_BLOCK rows. Both must give the same arrays and the same errors."""
+
+    def load_matrix(path, what):
+        if not path.is_file():
+            raise FileNotFoundError(f"missing {path.name}")
+        rows = []
+        width = None
+        for i, line in enumerate(path.read_text().splitlines()):
+            cells = line.split(",")
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                raise ValueError(f"{what} row {i} has {len(cells)} columns, expected {width}")
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError as exc:
+                raise ValueError(f"unparseable {what} value in row {i}") from exc
+        if not rows:
+            raise ValueError(f"{what} matrix is empty")
+        return np.asarray(rows, dtype=np.float64)
+
+    root = Path(path)
+    models_path = root / "models.json"
+    if not models_path.is_file():
+        raise FileNotFoundError(f"missing {models_path}")
+    models = tuple(
+        ModelInfo(model_id=int(m["id"]), name=str(m["name"]), unit_price=float(m["unit_price"]))
+        for m in sorted(json.loads(models_path.read_text()), key=lambda m: int(m["id"]))
+    )
+    queries_path = root / "queries.jsonl"
+    if not queries_path.is_file():
+        raise FileNotFoundError(f"missing {queries_path}")
+    query_ids, embeddings = [], []
+    dim = None
+    for i, line in enumerate(queries_path.read_text().splitlines()):
+        rec = json.loads(line)
+        emb = rec["embedding"]
+        if dim is None:
+            dim = len(emb)
+        elif len(emb) != dim:
+            raise ValueError(f"embedding dimension mismatch at query {i}: {len(emb)} != {dim}")
+        query_ids.append(str(rec["query_id"]))
+        embeddings.append([float(v) for v in emb])
+    if not query_ids:
+        raise ValueError("queries.jsonl is empty")
+    perf = load_matrix(root / "perf.csv", "perf")
+    cost = load_matrix(root / "cost.csv", "cost")
+    return RoutingTable(models=models, query_ids=tuple(query_ids),
+                        embeddings=np.asarray(embeddings, dtype=np.float64),
+                        perf=perf, cost=cost)
+
+
+def _outcome(load, path):
+    """A load's result, bit for bit, or its error's type and message."""
+    try:
+        t = load(path)
+    except Exception as exc:  # noqa: BLE001 - the error itself is the outcome
+        return type(exc), str(exc)
+    return t.models, t.query_ids, t.embeddings.tobytes(), t.perf.tobytes(), t.cost.tobytes()
+
+
+@pytest.fixture
+def table30():
+    return generate_synthetic(
+        SynthConfig(n_queries=30, n_models=3, embed_dim=4, tie_fraction=0.5, noise_seed=5)
+    )
+
+
+@pytest.fixture
+def block4(monkeypatch):
+    monkeypatch.setattr(dataset_module, "IO_BLOCK", 4)
+
+
+def _saved_bytes(root):
+    return {f.name: f.read_bytes() for f in sorted(Path(root).iterdir())}
+
+
+def test_blocked_round_trip_is_bit_exact(tmp_path, table30, block4):
+    save_table(table30, tmp_path / "t")
+    loaded = load_table(tmp_path / "t")
+    assert loaded.query_ids == table30.query_ids
+    for name in ("embeddings", "perf", "cost"):
+        assert getattr(loaded, name).tobytes() == getattr(table30, name).tobytes()
+    assert _outcome(load_table, tmp_path / "t") == _outcome(spec_load_table, tmp_path / "t")
+
+
+def test_save_table_bytes_do_not_depend_on_the_block(tmp_path, table30, monkeypatch):
+    save_table(table30, tmp_path / "one")  # 30 rows: one block
+    monkeypatch.setattr(dataset_module, "IO_BLOCK", 4)
+    save_table(table30, tmp_path / "many")
+    assert _saved_bytes(tmp_path / "many") == _saved_bytes(tmp_path / "one")
+
+
+def _edit_line(row, edit):
+    def apply(text):
+        lines = text.splitlines()
+        lines[row] = edit(lines[row])
+        return "\n".join(lines) + "\n"
+    return apply
+
+
+def _chain(*edits):
+    def apply(text):
+        for edit in edits:
+            text = edit(text)
+        return text
+    return apply
+
+
+def _replace_newline(index, sep):
+    """Replace the index-th "\n" of a file's text with sep."""
+    def apply(text):
+        head = text.split("\n")
+        return "\n".join(head[:index + 1]) + sep + "\n".join(head[index + 1:])
+    return apply
+
+
+def _set_embedding_value(value):
+    def edit(line):
+        rec = json.loads(line)
+        rec["embedding"][1] = value
+        return json.dumps(rec)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edits, error",
+    [
+        pytest.param({"perf.csv": _edit_line(9, _drop_last_cell)},
+                     "perf row 9 has 2 columns, expected 3", id="perf-columns"),
+        pytest.param({"cost.csv": _edit_line(13, lambda line: "abc," + line.split(",", 1)[1])},
+                     "unparseable cost value in row 13", id="cost-value"),
+        pytest.param({"queries.jsonl": _edit_line(10, _drop_last_embedding_value)},
+                     "embedding dimension mismatch at query 10: 3 != 4", id="embedding-dim"),
+        pytest.param({"queries.jsonl": _edit_line(22, lambda line: line[:-1])},
+                     None, id="json-line-22"),
+        pytest.param({"queries.jsonl": _edit_line(17, _set_embedding_value(None))},
+                     None, id="embedding-null"),
+        pytest.param({"queries.jsonl": _edit_line(17, _set_embedding_value("x"))},
+                     None, id="embedding-string"),
+        pytest.param({"perf.csv": _edit_line(21, lambda line: "x" + _drop_last_cell(line))},
+                     "perf row 21 has 2 columns, expected 3", id="columns-before-value"),
+        pytest.param({"perf.csv": _chain(_edit_line(21, lambda line: "x" + line),
+                                         _edit_line(23, _drop_last_cell))},
+                     "unparseable perf value in row 21", id="value-before-later-columns"),
+        pytest.param({"queries.jsonl": _chain(_edit_line(18, _set_embedding_value("x")),
+                                              _edit_line(19, lambda line: line[:-1]))},
+                     None, id="value-before-later-json"),
+        pytest.param({"queries.jsonl": _chain(
+                         _edit_line(17, lambda line: line.replace('"query_id"', '"id"')),
+                         _edit_line(18, _set_embedding_value("x")))},
+                     None, id="missing-id-before-later-value"),
+        # a form feed splits a line: rows count lines, not "\n"s
+        pytest.param({"perf.csv": _chain(_edit_line(21, _drop_last_cell),
+                                         _replace_newline(2, "\x0c"))},
+                     "perf row 21 has 2 columns, expected 3", id="form-feed-before-error"),
+        pytest.param({"queries.jsonl": _edit_line(10, _drop_last_embedding_value),
+                      "perf.csv": _edit_line(9, _drop_last_cell)},
+                     "embedding dimension mismatch at query 10: 3 != 4", id="queries-before-perf"),
+    ],
+)
+def test_load_errors_in_a_later_block(tmp_path, table30, block4, edits, error):
+    """With blocks of 4 rows each error lies past the first block: it names
+    its global row, and where a block has several, the first row's error wins
+    as in the whole-file spec. None: the spec's message is the only pin."""
+    save_table(table30, tmp_path / "t")
+    for name, edit in edits.items():
+        path = tmp_path / "t" / name
+        path.write_text(edit(path.read_text()))
+    outcome = _outcome(load_table, tmp_path / "t")
+    assert outcome == _outcome(spec_load_table, tmp_path / "t")
+    assert len(outcome) == 2 and (error is None or outcome[1] == error)
+
+
+ROW_FILES = ("queries.jsonl", "perf.csv", "cost.csv")
+
+
+@pytest.mark.parametrize(
+    "files, edit",
+    [
+        pytest.param(ROW_FILES, lambda text: text.replace("\n", "\r\n"), id="crlf"),
+        pytest.param(ROW_FILES, lambda text: text.replace("\n", "\r"), id="bare-cr"),
+        pytest.param(ROW_FILES, lambda text: text.rstrip("\n"), id="no-trailing-newline"),
+        pytest.param(("perf.csv",), _replace_newline(9, "\x0c"), id="form-feed"),
+        pytest.param(("cost.csv",), _replace_newline(14, "\x85"), id="next-line"),
+        pytest.param(("queries.jsonl",), _replace_newline(17, "\u2028"), id="raw-u2028"),
+        pytest.param(("queries.jsonl",), lambda text: text.replace('"q000013"', '"q\u2028x"'),
+                     id="raw-u2028-in-query-id"),
+        pytest.param(("perf.csv",), _replace_newline(11, "\n\n"), id="blank-middle-line"),
+        pytest.param(("cost.csv",), lambda text: text + "\n\n", id="trailing-blank-lines"),
+        pytest.param(("perf.csv",), lambda text: text.replace("\n", "\r\n", 6), id="mixed-endings"),
+    ],
+)
+def test_load_splits_lines_as_read_text_splitlines(tmp_path, table30, block4, files, edit):
+    save_table(table30, tmp_path / "t")
+    for name in files:
+        path = tmp_path / "t" / name
+        path.write_bytes(edit(path.read_text()).encode())
+    assert _outcome(load_table, tmp_path / "t") == _outcome(spec_load_table, tmp_path / "t")
+
+
+def test_crlf_split_across_the_text_layers_read_chunk(tmp_path, table30):
+    # text mode decodes a file in chunks of io.DEFAULT_BUFFER_SIZE; a "\r"
+    # that ends one chunk and the "\n" that starts the next are one line end
+    save_table(table30, tmp_path / "t")
+    path = tmp_path / "t" / "perf.csv"
+    lines = path.read_text().splitlines()
+    edge = io.DEFAULT_BUFFER_SIZE - len(lines[0])  # a pad of edge - 1 ends chunk 1 with "\r"
+    for pad in range(edge - 3, edge + 2):
+        first = "0" * pad + lines[0]  # leading zeros keep every value
+        path.write_bytes("\r\n".join([first, *lines[1:]]).encode() + b"\r\n")
+        loaded = load_table(tmp_path / "t")
+        assert loaded.perf.tobytes() == table30.perf.tobytes()
+    assert _outcome(load_table, tmp_path / "t") == _outcome(spec_load_table, tmp_path / "t")
+
+
+def _synth_k11(n):
+    return generate_synthetic(
+        SynthConfig(n_queries=n, n_models=11, embed_dim=24, tie_fraction=0.5, noise_seed=1)
+    )
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_table_memory_flat_in_row_count(tmp_path, monkeypatch):
+    # writing holds one block's Python rows, however long the table
+    monkeypatch.setattr(dataset_module, "IO_BLOCK", 64, raising=False)
+
+    def peak(n):
+        table = _synth_k11(n)
+        return _traced_peak(lambda: save_table(table, tmp_path / str(n)))[1]
+
+    assert peak(3200) < 1.5 * peak(800)
+
+
+def test_load_table_memory_is_the_result_plus_one_block(tmp_path, monkeypatch):
+    # the whole-file loader peaked at about 4.5x the arrays at this size
+    monkeypatch.setattr(dataset_module, "IO_BLOCK", 64, raising=False)
+    save_table(_synth_k11(3000), tmp_path / "t")
+    table, peak = _traced_peak(lambda: load_table(tmp_path / "t"))
+    arrays = table.embeddings.nbytes + table.perf.nbytes + table.cost.nbytes
+    ids = sys.getsizeof(table.query_ids) + sum(map(sys.getsizeof, table.query_ids))
+    block = 64 * 4096  # generous: 4 KB of Python objects per row of a block
+    assert peak <= 2.5 * arrays + ids + block
 
 
 # ---------------------------------------------------------------------------
