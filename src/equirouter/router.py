@@ -25,14 +25,22 @@ models; K <= 20 keeps it negligible.
 
 The head's first layer acts on the four D-column blocks of h_j separately.
 With W1 = [Wz, We, Wu, Wv], its pre-activation is z_j Wz^T + (z_j * e_j) Wu^T
-+ |z_j - e_j| Wv^T + c_j, where c_j = e_j We^T + b1 is a per-model constant
-computed once per call; the no-joint head keeps the z_j and c terms. Training
-and scoring so hold (B, K, D) arrays, never a (B * K, 4D) one. The trunk, the
-FiLM and model projections and the head's output layer backpropagate through
++ |z_j - e_j| Wv^T + c_j, where c_j = e_j We^T + b1 is a per-model constant;
+the no-joint head keeps the z_j and c terms. Training and scoring so hold
+(B, K, D) arrays, never a (B * K, 4D) one. The trunk, the FiLM and model
+projections and the head's output layer backpropagate through
 `neuralnet.backward`; the modulation, the interaction blocks and the head's
 first layer are differentiated here. Every trainer runs the same epoch loop
 (`_fit`) and differs only in its batch objective and validation loss. Tests
 check every gradient against finite differences.
+
+The model-side terms g, b, e_j, W1^T and c depend on no query. The training
+objectives compute them fresh on every call; scoring (`scores_batch`, and so
+`router_scores`, `route()`, sweeps and validation) computes them once per
+parameter set and keeps them in a private slot on the params, keyed on the
+identity of the seven arrays they are read from. Hence the contract: once an
+EquiRouter has scored, its parameter arrays are replaced, never edited in
+place. `assign_params`, Adam and `load_router` all replace arrays.
 
 Every router scores a batch in blocks of SCORE_BLOCK = 256 query rows, the
 remainder merged into the last (256-511 rows): scoring memory is O(511 * K * D),
@@ -127,6 +135,8 @@ class EquiRouterParams:
     hyper: EquiHyper
     joint_feature: bool = True
     tag: str = "equirouter"  # checkpoint tag: equirouter | equirouter_nojoint | mse
+    # (the arrays read, their `_model_terms`), built by `_scoring_terms`
+    _terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def latent_dim(self) -> int:
@@ -188,26 +198,47 @@ def assign_params(p: EquiRouterParams, values: list[np.ndarray]) -> None:
 # forward / backward
 
 
-def _forward_scores(p: EquiRouterParams, Q: np.ndarray):
-    """Batched scores (B, K) plus the cache needed for the backward pass."""
+def _model_terms(p: EquiRouterParams) -> tuple[np.ndarray, ...]:
+    """The query-independent terms (gamma, beta, E, W1^T, c) of the forward pass."""
+    D = p.latent_dim
+    M = p.model_embeddings
+    G = forward(p.film_proj, M)  # (K, 2D)
+    E = forward(p.model_proj, M)  # (K, D)
+    first = p.score_head[0]
+    Wt = np.ascontiguousarray(first.weight.T)  # row block i acts on part i of h_j
+    c = E @ Wt[D : 2 * D] + first.bias  # the per-model constant
+    return G[:, :D], G[:, D:], E, Wt, c
+
+
+def _scoring_terms(p: EquiRouterParams) -> tuple[np.ndarray, ...]:
+    """`_model_terms(p)`, built once per parameter set. The slot is keyed on
+    the identity of the arrays the terms read and holds them alive, so no
+    id is reused while it exists; replacing any of them rebuilds it."""
+    first = p.score_head[0]
+    arrays = (
+        p.model_embeddings, p.film_proj.weight, p.film_proj.bias,
+        p.model_proj.weight, p.model_proj.bias, first.weight, first.bias,
+    )
+    if p._terms is None or any(a is not b for a, b in zip(p._terms[0], arrays)):
+        p._terms = (arrays, _model_terms(p))
+    return p._terms[1]
+
+
+def _forward_scores(p: EquiRouterParams, Q: np.ndarray, terms: tuple[np.ndarray, ...]):
+    """Batched scores (B, K) plus the cache needed for the backward pass;
+    `terms` are `_model_terms(p)`."""
     Q = np.asarray(Q, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[1] != p.hyper.d_q:
         raise ValueError(f"query batch shape {Q.shape} does not match d_q={p.hyper.d_q}")
     D = p.latent_dim
+    gamma, beta, E, Wt, c = terms
 
     Z, trunk_acts = forward_layers(p.trunk, Q)  # (B, D)
 
-    M = p.model_embeddings
-    G = forward(p.film_proj, M)  # (K, 2D)
-    gamma, beta = G[:, :D], G[:, D:]
-    E = forward(p.model_proj, M)  # (K, D)
-
     Zj = Z[:, None, :] * gamma
     Zj += beta  # (B, K, D)
-    first, last = p.score_head
-    Wt = np.ascontiguousarray(first.weight.T)  # row block i acts on part i of h_j
     P = Zj @ Wt[:D]
-    P += E @ Wt[D : 2 * D] + first.bias  # the per-model constant c
+    P += c
     if p.joint_feature:
         T = Zj * E  # U, then |X| with X = Zj - E; S holds each block's product
         S = T @ Wt[2 * D : 3 * D]
@@ -215,7 +246,7 @@ def _forward_scores(p: EquiRouterParams, Q: np.ndarray):
         np.abs(np.subtract(Zj, E, out=T), out=T)
         P += np.matmul(T, Wt[3 * D :], out=S)
     H = np.maximum(P, 0.0, out=P).reshape(-1, D)  # the head's relu hidden layer
-    s = forward(last, H)
+    s = forward(p.score_head[1], H)
     cache = (trunk_acts, Z, gamma, E, Zj, H)
     return s.reshape(Zj.shape[:2]), cache
 
@@ -277,7 +308,10 @@ def _in_blocks(score, Q: np.ndarray) -> np.ndarray:
 
 
 def scores_batch(p: EquiRouterParams, Q: np.ndarray) -> np.ndarray:
-    return _in_blocks(lambda q: _forward_scores(p, q)[0], np.asarray(Q, dtype=np.float64))
+    terms = _scoring_terms(p)
+    return _in_blocks(
+        lambda q: _forward_scores(p, q, terms)[0], np.asarray(Q, dtype=np.float64)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +378,7 @@ def ranking_objective(
     """Mean per-query pairwise logistic loss plus 0.5 * wd * ||theta||^2, with
     exact analytic gradients in canonical parameter order. `weights` is the
     batch's slice of `build_pair_set`; queries without pairs are left out."""
-    S, cache = _forward_scores(p, Q)
+    S, cache = _forward_scores(p, Q, _model_terms(p))
     loss, t, n = _pair_loss(S, weights)
     if n == 0:
         raise ValueError("no ranking supervision: every query has an empty pair set")
@@ -361,7 +395,7 @@ def mse_objective(
     p: EquiRouterParams, Q: np.ndarray, targets: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
     """Mean squared error of scores against per-model targets, with gradients."""
-    S, cache = _forward_scores(p, Q)
+    S, cache = _forward_scores(p, Q, _model_terms(p))
     loss, dS = _mse(S, targets)
     return loss, _backward_scores(p, cache, dS)
 
@@ -682,8 +716,9 @@ class KnnRouterParams:
     train_indices: tuple[int, ...]
     split_seed: int
     tag: str = "knn"
-    # (table, reference embeddings, their squared norms, reference perf rows),
-    # built by `_knn_reference` for the last table scored
+    # (table, reference embeddings, their squared norms, reference perf rows,
+    # first-occurrence columns or None), built by `_knn_reference` for the
+    # last table scored
     _reference: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -701,14 +736,20 @@ def train_knn_router(table: RoutingTable, split, k: int = 50) -> KnnRouterParams
 
 
 def _knn_reference(knn: KnnRouterParams, table: RoutingTable) -> tuple:
-    """The training rows' embeddings, squared norms and perf rows, built once
-    per table. The slot is keyed on the table object itself: a RoutingTable
-    and its arrays are immutable, and the slot holds the table alive, so no
-    other table can pass the `is` check."""
+    """The training rows' embeddings, squared norms and perf rows, and, when
+    some rows are bit-identical, each row's first occurrence (else None);
+    built once per table. The slot is keyed on the table object itself: a
+    RoutingTable and its arrays are immutable, and the slot holds the table
+    alive, so no other table can pass the `is` check."""
     if knn._reference is None or knn._reference[0] is not table:
         rows = np.asarray(knn.train_indices, dtype=np.int64)
         ref = table.embeddings[rows]
-        reference = (table, ref, (ref * ref).sum(axis=1), table.perf[rows])
+        row_bytes = ref.view(np.dtype((np.void, ref.itemsize * ref.shape[1]))).ravel()
+        _, first, inverse = np.unique(row_bytes, return_index=True, return_inverse=True)
+        first = first[inverse]
+        if np.array_equal(first, np.arange(len(ref))):
+            first = None
+        reference = (table, ref, (ref * ref).sum(axis=1), table.perf[rows], first)
         object.__setattr__(knn, "_reference", reference)
     return knn._reference[1:]
 
@@ -732,7 +773,7 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
 
 
 def knn_scores(knn: KnnRouterParams, table: RoutingTable, Q: np.ndarray) -> np.ndarray:
-    ref, r_sq, ref_perf = _knn_reference(knn, table)
+    ref, r_sq, ref_perf, first = _knn_reference(knn, table)
     k = min(knn.k, len(ref))
 
     def block(q: np.ndarray) -> np.ndarray:
@@ -740,6 +781,8 @@ def knn_scores(knn: KnnRouterParams, table: RoutingTable, Q: np.ndarray) -> np.n
         # row still gets distance exactly 0 (x + x - 2x); stable selection:
         # distance ties resolve to the earlier training row
         d2 = (q * q).sum(axis=1, keepdims=True) + r_sq[None, :] - 2.0 * (q @ ref.T)
+        if first is not None:  # BLAS may round copies' columns apart: tie them
+            d2 = d2[:, first]
         return ref_perf[_nearest(d2, k)].mean(axis=1)
 
     return _in_blocks(block, Q)

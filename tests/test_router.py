@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from equirouter.dataset import ModelInfo, RoutingTable, SynthConfig, generate_synthetic, make_split
 from equirouter.neuralnet import grad_check
 from equirouter.oracle import oracle_select, select_under_budget
+import equirouter.neuralnet as neuralnet_module
 import equirouter.router as router_module
 from equirouter.rng import make_rng
 from equirouter.router import (
@@ -18,8 +19,10 @@ from equirouter.router import (
     MlpRouterParams,
     OracleRouter,
     _assign_layers,
+    _forward_scores,
     _init_two_layer,
     _layer_params,
+    _model_terms,
     _nearest,
     _regressor_objective,
     assign_params,
@@ -202,7 +205,8 @@ def per_query_mac_counts(p) -> tuple[int, int]:
     The trunk runs once per query regardless of K; per model the router
     applies the modulation, the interaction blocks and the head. The film/proj
     projections and the head's e_j block c depend only on the model embeddings
-    and are computed once per block, so they amortize to zero per query.
+    and are computed once per parameter set, so they amortize to zero per
+    query.
     """
     trunk = sum(l.in_dim * l.out_dim for l in p.trunk)
     D = p.latent_dim
@@ -229,7 +233,7 @@ def test_per_query_mac_counts_linear_in_k():
 def test_per_query_mac_counts_exact(joint):
     # d_q=5, D=8: the trunk is 5*8 + 8*8; per model, the joint head applies
     # D (modulation) + 2D (interaction) + 3*D*D (z_j, u, v blocks) + D (output),
-    # the no-joint head D + D*D + D; the e_j block is per call, not per query
+    # the no-joint head D + D*D + D; the e_j block is per parameter set
     p = init_equirouter(tiny_hyper(5, 4), joint_feature=joint)
     per_model = 8 + 2 * 8 + 3 * 64 + 8 if joint else 8 + 64 + 8
     assert per_query_mac_counts(p) == (5 * 8 + 8 * 8, per_model)
@@ -288,9 +292,9 @@ def test_scores_batch_block_sizes(monkeypatch, n, sizes):
     seen = []
     forward_scores = router_module._forward_scores
 
-    def counting(p, Q):
+    def counting(p, Q, *args):
         seen.append(len(Q))
-        return forward_scores(p, Q)
+        return forward_scores(p, Q, *args)
 
     monkeypatch.setattr(router_module, "_forward_scores", counting)
     Q = make_rng(1, 0).standard_normal((n, 5))
@@ -317,6 +321,82 @@ def test_scores_batch_memory_flat_in_batch_size():
         return peak - S.nbytes
 
     assert working_memory(16384) <= 1.10 * working_memory(4096)
+
+
+# ---------------------------------------------------------------------------
+# model-side terms, computed once per parameter set for scoring
+
+
+def _uncached_scores(p, Q):
+    return _forward_scores(p, Q, _model_terms(p))[0]
+
+
+@pytest.mark.parametrize("joint", [True, False])
+@pytest.mark.parametrize("k", [3, 11])
+def test_cached_scores_are_bytewise_uncached(joint, k):
+    p = init_equirouter(
+        EquiHyper(d_q=24, n_models=k, d_m=16, latent_dim=128, seed=2), joint_feature=joint
+    )
+    Q = make_rng(3, 0).standard_normal((600, 24))
+    for n in (1, 256, 600):  # one row, one block, two blocks
+        assert scores_batch(p, Q[:n]).tobytes() == _uncached_scores(p, Q[:n]).tobytes()
+    table = make_table(perf=np.zeros((600, k)), cost=np.ones((600, k)), embeddings=Q)
+    for n in (0, 1, 599):
+        want = _uncached_scores(p, Q[[n]])[0]
+        assert route(p, table, n, 1.0).scores.tobytes() == want.tobytes()
+
+
+# the arrays the model-side terms read, as (owner, attribute) and as their
+# position in `params_list`
+def _keyed_arrays(p):
+    first = p.score_head[0]
+    return [
+        (p, "model_embeddings", 0), (p.film_proj, "weight", 5), (p.film_proj, "bias", 6),
+        (p.model_proj, "weight", 7), (p.model_proj, "bias", 8),
+        (first, "weight", 9), (first, "bias", 10),
+    ]
+
+
+@pytest.mark.parametrize("how", ["assign_params", "attribute"])
+def test_replacing_a_keyed_array_refreshes_the_terms(how):
+    p = init_equirouter(tiny_hyper(5, 4, seed=11))
+    Q = make_rng(12, 0).standard_normal((7, 5))
+    for i in range(7):
+        before = scores_batch(p, Q)  # builds the terms for the current arrays
+        owner, name, pos = _keyed_arrays(p)[i]
+        old = getattr(owner, name)
+        new = old + 0.05 * make_rng(13, i).standard_normal(old.shape)
+        if how == "assign_params":
+            values = params_list(p)
+            values[pos] = new
+            assign_params(p, values)
+        else:
+            setattr(owner, name, new)
+        after = scores_batch(p, Q)
+        assert not np.array_equal(after, before), name
+        assert after.tobytes() == _uncached_scores(p, Q).tobytes(), name
+
+
+def test_route_computes_model_terms_once(monkeypatch):
+    # a repeated single-query route() runs only the trunk's two layers and
+    # the head's output layer; film, projection, c and W1^T are reused
+    calls = []
+    forward = neuralnet_module.forward
+
+    def counting(layer, x):
+        calls.append(x.shape)
+        return forward(layer, x)
+
+    monkeypatch.setattr(neuralnet_module, "forward", counting)
+    monkeypatch.setattr(router_module, "forward", counting)
+    p = init_equirouter(tiny_hyper(5, 3, seed=1))
+    Q = make_rng(14, 0).standard_normal((4, 5))
+    table = make_table(perf=np.zeros((4, 3)), cost=np.ones((4, 3)), embeddings=Q)
+    route(p, table, 0, 1.0, cost_source="oracle")
+    for n in (1, 2, 3, 1):
+        calls.clear()
+        route(p, table, n, 1.0, cost_source="oracle")
+        assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +527,7 @@ def test_full_objective_gradients_match_fd(joint, tie):
     )
     if tie:
         _tie_first_coordinate(p)
+    scores_batch(p, t.embeddings)  # grad_check edits in place: the objective must not cache
 
     def fn(plist):
         assign_params(p, plist)
@@ -461,6 +542,7 @@ def test_mse_objective_gradients_match_fd():
         SynthConfig(n_queries=4, n_models=3, embed_dim=6, tie_fraction=0.5, noise_seed=3)
     )
     p = init_equirouter(EquiHyper(d_q=6, n_models=3, d_m=4, latent_dim=8, seed=8))
+    scores_batch(p, t.embeddings)  # grad_check edits in place: the objective must not cache
 
     def fn(plist):
         assign_params(p, plist)
@@ -746,6 +828,30 @@ def test_knn_ties_at_kth_distance_go_to_earlier_rows():
     for i in range(0, n, 7):
         assert np.array_equal(knn_scores(knn, t, t.embeddings[[i]])[0], want[i])
         assert np.array_equal(route(knn, t, i, budget=1.0).scores, want[i])
+
+
+def test_knn_duplicate_training_rows_tie_to_the_earlier_row():
+    # row 1499 copies row 3 and falls in the last n_train % 8 columns of the
+    # batch product, which BLAS may round apart from the copy's; every query
+    # lies near the pair, so the two copies straddle the 1st distance
+    rng = make_rng(15, 0)
+    n_train, n_query, d = 1500, 300, 24
+    emb = rng.standard_normal((n_train + n_query, d))
+    emb[n_train - 1] = emb[3]
+    emb[n_train:] = emb[3] + 0.01 * rng.standard_normal((n_query, d))
+    t = make_table(
+        perf=rng.random((n_train + n_query, 3)),
+        cost=np.ones((n_train + n_query, 3)),
+        embeddings=emb,
+    )
+    train_rows = np.arange(n_train)
+    knn = train_knn_router(t, (train_rows, np.array([], dtype=int)), k=1)
+    queries = np.arange(n_train, n_train + n_query)
+    want = np.array([_knn_reference_scores(t, train_rows, 1, t.embeddings[i]) for i in queries])
+    assert np.array_equal(want, np.tile(t.perf[3], (n_query, 1)))
+    assert np.array_equal(router_scores(knn, t, queries), want)
+    for j in range(0, n_query, 10):
+        assert np.array_equal(route(knn, t, queries[j], budget=1.0).scores, want[j])
 
 
 @settings(max_examples=100, deadline=None)
