@@ -12,9 +12,13 @@ write: `refuse-kind` offers the EquiRouter checkpoint as an MLP, and
 Last, `run_ablation.py` and `run_noise_collapse.py` run at 600 queries, and
 `synth-9000` writes a 9000-query table that `oracle-sweep-9000` loads, so
 table I/O crosses row-block boundaries (dataset.IO_BLOCK) both ways.
+Every table directory holds a `table.bin` sidecar that load_table reads in
+place of the text; `oracle-sweep-text` repeats `oracle-sweep` on a copy of
+the table without it, `table-text/`, and must write the same bytes.
 The script exits 1 if a step exits otherwise than expected (1 for the two
-refusals and for training the oracle, 0 for the rest) or a refused step
-writes its output directory; it still writes every step first.
+refusals and for training the oracle, 0 for the rest), a refused step
+writes its output directory, or the two oracle sweeps differ; it still
+writes every step first.
 
 Each step writes its outputs to OUT/<step>/ and its command line, stdout,
 stderr and exit code to OUT/<step>.log. Commands run inside OUT with
@@ -28,6 +32,7 @@ never written under OUT.
 
 import argparse
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -98,6 +103,7 @@ def main() -> None:
     (out / "synth9000.cfg").write_text(
         SYNTH_KEYS.replace("n_queries = 1000", "n_queries = 9000") + TRAIN_KEYS)
     (out / "table9000.cfg").write_text("table = synth-9000\n" + TRAIN_KEYS)
+    (out / "table-text.cfg").write_text("table = table-text\n" + TRAIN_KEYS)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
                    [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -131,6 +137,18 @@ def main() -> None:
             wrong.append(f"{step} exited {code}")
         if step in REFUSED and (out / step).exists():
             wrong.append(f"{step} wrote {step}/")
+
+    # the table's text alone must give the sweep its sidecar gave
+    shutil.copytree(out / "table", out / "table-text", ignore=shutil.ignore_patterns("table.bin"))
+    step, argv = cli("oracle-sweep-text", "sweep", "--config", "table-text.cfg",
+                     "--router", "oracle")
+    if (code := run(out, env, step, *argv)) != 0:
+        wrong.append(f"{step} exited {code}")
+    for name in ("curve.csv", "metrics.json", "rci_detail.csv"):
+        text, sidecar = out / step / name, out / "oracle-sweep" / name
+        if not (text.is_file() and sidecar.is_file()
+                and text.read_bytes() == sidecar.read_bytes()):
+            wrong.append(f"{step}/{name} differs from oracle-sweep/{name}")
     print(f"wrote {out} in {time.perf_counter() - start:.1f} s")
     if wrong:
         sys.exit("unexpected results: " + "; ".join(wrong))

@@ -12,6 +12,7 @@ On-disk layout of a table directory::
     perf.csv       N rows x K columns, no header, full decimal precision
     cost.csv       same shape, strictly positive entries
     split.json     {"seed": int, "train": [...], "valid": [...], "test": [...]}
+    table.bin      optional binary sidecar of the three row files, see below
 
 Floats are written with ``repr``, the shortest representation that parses
 back to the identical 64-bit value, so save -> load is bit-exact.
@@ -21,10 +22,22 @@ besides the table itself, they hold the Python objects of one block and, while
 loading, the parsed blocks of the file being read, so working memory is
 O(IO_BLOCK) plus about one copy of the result arrays. The block size changes
 neither the bytes written nor the values loaded nor any error message.
+
+table.bin is a `neuralnet.save_checkpoint` file that save_table writes last,
+after removing any old one. Its header records a format version, the SHA-256
+of queries.jsonl, perf.csv and cost.csv as written, the SHA-256 of its array
+payload and the query ids joined into one string; its arrays are the
+embeddings, perf, cost and the ids' lengths, which cut that string.
+load_table uses it only when all four digests match (a content check, like a
+hash-checked .pyc; modification times are not trusted), reading each array
+straight into its final buffer; any mismatch, unreadable file or unknown
+format falls back to parsing the text, with the same values and errors.
+load_table never writes, and deleting table.bin only makes loading slower.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -33,10 +46,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .neuralnet import load_checkpoint, save_checkpoint
 from .rng import STREAM_SPLIT, STREAM_SYNTH, make_rng
 
 # Table files are read and written this many rows at a time.
 IO_BLOCK = 4096
+
+ROW_FILES = ("queries.jsonl", "perf.csv", "cost.csv")
+SIDECAR = "table.bin"
+SIDECAR_FORMAT = "equirouter-table"
+SIDECAR_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -206,6 +225,8 @@ def save_table(table: RoutingTable, path: Path | str) -> None:
     validate_table(table)
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
+    # no sidecar may outlive the text it was made from, even if writing fails
+    (root / SIDECAR).unlink(missing_ok=True)
     models = [
         {"id": m.model_id, "name": m.name, "unit_price": m.unit_price}
         for m in table.models
@@ -226,6 +247,64 @@ def save_table(table: RoutingTable, path: Path | str) -> None:
             for s in range(0, len(mat), IO_BLOCK):
                 fh.writelines(",".join(map(repr, row)) + "\n"
                               for row in mat[s:s + IO_BLOCK].tolist())
+    # the ids travel as one string and their lengths, not as a JSON list,
+    # whose encoder would hold several Python objects per row
+    ids = "".join(map(str, table.query_ids))
+    id_lengths = np.fromiter(map(len, map(str, table.query_ids)), np.float64, table.n_queries)
+    arrays = [table.embeddings, table.perf, table.cost, id_lengths]
+    header = {
+        "format": SIDECAR_FORMAT,
+        "version": SIDECAR_VERSION,
+        "sha256": {name: _file_sha256(root / name) for name in ROW_FILES},
+        "payload_sha256": _payload_sha256(arrays),
+        "query_ids": ids,
+    }
+    save_checkpoint(root / SIDECAR, header, arrays)
+
+
+def _file_sha256(path: Path) -> str:
+    """Hex SHA-256 of a file, read in fixed 64 KB chunks."""
+    digest = hashlib.sha256()
+    buf = bytearray(1 << 16)
+    view = memoryview(buf)
+    with path.open("rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
+    return digest.hexdigest()
+
+
+def _payload_sha256(arrays: Sequence[np.ndarray]) -> str:
+    """Hex SHA-256 of the arrays' little-endian float64 bytes, read in place."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8").data)
+    return digest.hexdigest()
+
+
+def _load_sidecar(root: Path) -> tuple | None:
+    """(query_ids, embeddings, perf, cost) from root's table.bin, or None
+    unless it exists, is readable, has this format and version, and both the
+    row files and its payload hash to the digests it records."""
+    path = root / SIDECAR
+    if not path.is_file():
+        return None
+    try:
+        header, arrays = load_checkpoint(path)
+        if header.get("format") != SIDECAR_FORMAT or header.get("version") != SIDECAR_VERSION:
+            return None
+        if any(_file_sha256(root / name) != header["sha256"][name] for name in ROW_FILES):
+            return None
+        if _payload_sha256(arrays) != header["payload_sha256"]:
+            return None
+        embeddings, perf, cost, id_lengths = arrays
+        ids = header["query_ids"]
+        ends = id_lengths.astype(np.int64).cumsum().tolist()
+        if not isinstance(ids, str) or ends[-1:] != [len(ids)]:
+            return None
+        query_ids = tuple(map(ids.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+        return query_ids, embeddings, perf, cost
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
 
 
 def _line_blocks(path: Path) -> Iterator[tuple[int, list[str]]]:
@@ -320,7 +399,8 @@ def _load_queries(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def load_table(path: Path | str) -> RoutingTable:
-    """Load and validate a table directory written by save_table."""
+    """Load and validate a table directory written by save_table, from its
+    table.bin sidecar when that provably matches the text files."""
     root = Path(path)
     models_path = root / "models.json"
     if not models_path.is_file():
@@ -334,9 +414,13 @@ def load_table(path: Path | str) -> RoutingTable:
     queries_path = root / "queries.jsonl"
     if not queries_path.is_file():
         raise FileNotFoundError(f"missing {queries_path}")
-    query_ids, embeddings = _load_queries(queries_path)
-    perf = _load_matrix(root / "perf.csv", "perf")
-    cost = _load_matrix(root / "cost.csv", "cost")
+    sidecar = _load_sidecar(root)
+    if sidecar is not None:
+        query_ids, embeddings, perf, cost = sidecar
+    else:
+        query_ids, embeddings = _load_queries(queries_path)
+        perf = _load_matrix(root / "perf.csv", "perf")
+        cost = _load_matrix(root / "cost.csv", "cost")
     return RoutingTable(
         models=models, query_ids=query_ids, embeddings=embeddings, perf=perf, cost=cost
     )

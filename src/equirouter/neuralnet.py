@@ -81,12 +81,14 @@ def backward(
     grad_out: np.ndarray,
     out: np.ndarray | None = None,
     input_grad: bool = True,
+    grad_x_buf: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Chain-rule gradients (grad_x, grad_weight, grad_bias).
 
     `out` is the layer's output as `forward` returned it (recomputed when
     omitted); relu masks the gradient where out > 0, i.e. subgradient 0 at
-    exactly 0. grad_x is None when `input_grad` is False.
+    exactly 0. grad_x is None when `input_grad` is False; otherwise it is
+    written into `grad_x_buf` when one is given (same values, no allocation).
     """
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -95,7 +97,7 @@ def backward(
     if layer.activation == "relu":
         out = forward(layer, x) if out is None else out
         grad_out = grad_out * (out > 0.0)
-    grad_x = grad_out @ layer.weight if input_grad else None
+    grad_x = np.matmul(grad_out, layer.weight, out=grad_x_buf) if input_grad else None
     grad_w = grad_out.T @ x
     grad_b = grad_out.sum(axis=0)
     return grad_x, grad_w, grad_b
@@ -259,7 +261,9 @@ def save_checkpoint(
     """Single-file checkpoint: JSON header + flat little-endian float64 block.
 
     Round-trip is bit-exact; the header carries shapes plus whatever seeds
-    and hyperparameters the caller supplies.
+    and hyperparameters the caller supplies. Arrays are written from their
+    own buffers and read straight into the returned arrays, so neither side
+    holds a second copy of the parameters.
     """
     hdr = dict(header)
     hdr["shapes"] = [list(p.shape) for p in params]
@@ -269,22 +273,26 @@ def save_checkpoint(
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for p in params:
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(p, dtype="<f8").data)
 
 
 def load_checkpoint(path: Path | str) -> tuple[dict, list[np.ndarray]]:
-    raw = Path(path).read_bytes()
-    if raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    off = len(CKPT_MAGIC)
-    (hlen,) = struct.unpack("<Q", raw[off : off + 8])
-    off += 8
-    header = json.loads(raw[off : off + hlen].decode("utf-8"))
-    off += hlen
-    params = []
-    for shape in header["shapes"]:
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape)
-        params.append(arr.astype(np.float64))
-        off += count * 8
+    """(header, arrays) of a save_checkpoint file; ValueError if it is not
+    one or is cut short."""
+    with Path(path).open("rb") as fh:
+        if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
+            raise ValueError(f"{path}: not a checkpoint file")
+        size = fh.read(8)
+        hlen = struct.unpack("<Q", size)[0] if len(size) == 8 else -1
+        blob = fh.read(max(hlen, 0))
+        if len(blob) != hlen:
+            raise ValueError(f"{path}: truncated checkpoint")
+        header = json.loads(blob.decode("utf-8"))
+        params = []
+        for shape in header["shapes"]:
+            count = int(np.prod(shape)) if shape else 1
+            arr = np.fromfile(fh, dtype="<f8", count=count)
+            if arr.size != count:
+                raise ValueError(f"{path}: truncated checkpoint")
+            params.append(arr.astype(np.float64, copy=False).reshape(shape))
     return header, params

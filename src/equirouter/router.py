@@ -34,6 +34,16 @@ first layer are differentiated here. Every trainer runs the same epoch loop
 (`_fit`) and differs only in its batch objective and validation loss. Tests
 check every gradient against finite differences.
 
+An EquiRouter training run allocates one workspace (`_workspace`), sized for
+its batch and its largest validation scoring block. Every step and
+validation block writes its (B, K, D) intermediates into it with `out=`, so
+no step allocates, and the OS maps in, fresh arrays of that size.
+Intermediates whose lifetimes do not overlap share a slot, so the workspace
+holds no more (B, K, D) arrays than one step used to hold alive. `out=`
+changes where a result is stored, not how it is computed, so training is
+bit-identical with or without it. Scoring outside training allocates per
+block as before.
+
 The model-side terms g, b, e_j, W1^T and c depend on no query. The training
 objectives compute them fresh on every call; scoring (`scores_batch`, and so
 `router_scores`, `route()`, sweeps and validation) computes them once per
@@ -51,6 +61,7 @@ bit-identical to one whole-batch call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -224,54 +235,97 @@ def _scoring_terms(p: EquiRouterParams) -> tuple[np.ndarray, ...]:
     return p._terms[1]
 
 
-def _forward_scores(p: EquiRouterParams, Q: np.ndarray, terms: tuple[np.ndarray, ...]):
+# Workspace slots. Forward: Zj; P, which becomes H; T and S, scratch.
+# Backward, once the relu mask is applied: H's slot holds U, X and sign(X);
+# T's holds dH (= dP); S's holds dZj; V holds |X|, then dV and dU. A no-joint
+# network uses Zj and P forward, and the first four backward.
+_ZJ, _P, _T, _S, _V = range(5)
+
+
+def _workspace(p: EquiRouterParams, rows: int, score_rows: int) -> np.ndarray:
+    """One flat buffer for every (B, K, D) intermediate of `_forward_scores`
+    and `_backward_scores`, for training steps of B <= rows and scoring
+    blocks of B <= score_rows. Slot i of a B-row pass is the i-th run of
+    B * K * D values, so the buffer holds no more (B, K, D) arrays than such
+    a pass would hold alive without it."""
+    train_slots, score_slots = (5, 4) if p.joint_feature else (4, 2)
+    size = max(train_slots * rows, score_slots * score_rows)
+    return np.empty(size * p.hyper.n_models * p.latent_dim)
+
+
+def _slots(workspace: np.ndarray | None, shape: tuple[int, ...], *slots: int) -> tuple:
+    """The given workspace slots as arrays of `shape`, B * K * D values
+    each; Nones (allocate) without a workspace."""
+    if workspace is None:
+        return (None,) * len(slots)
+    n = math.prod(shape)
+    return tuple(workspace[i * n : (i + 1) * n].reshape(shape) for i in slots)
+
+
+def _forward_scores(
+    p: EquiRouterParams,
+    Q: np.ndarray,
+    terms: tuple[np.ndarray, ...],
+    workspace: np.ndarray | None = None,
+):
     """Batched scores (B, K) plus the cache needed for the backward pass;
-    `terms` are `_model_terms(p)`."""
+    `terms` are `_model_terms(p)`. With a `_workspace`, every (B, K, D)
+    intermediate is written into it; the values are the same either way."""
     Q = np.asarray(Q, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[1] != p.hyper.d_q:
         raise ValueError(f"query batch shape {Q.shape} does not match d_q={p.hyper.d_q}")
     D = p.latent_dim
     gamma, beta, E, Wt, c = terms
+    shape = (Q.shape[0], len(E), D)
 
     Z, trunk_acts = forward_layers(p.trunk, Q)  # (B, D)
 
-    Zj = Z[:, None, :] * gamma
+    zj_out, p_out = _slots(workspace, shape, _ZJ, _P)
+    Zj = np.multiply(Z[:, None, :], gamma, out=zj_out)
     Zj += beta  # (B, K, D)
-    P = Zj @ Wt[:D]
+    P = np.matmul(Zj, Wt[:D], out=p_out)
     P += c
     if p.joint_feature:
-        T = Zj * E  # U, then |X| with X = Zj - E; S holds each block's product
-        S = T @ Wt[2 * D : 3 * D]
+        # U, then |X| with X = Zj - E; S holds each block's product
+        t_out, s_out = _slots(workspace, shape, _T, _S)
+        T = np.multiply(Zj, E, out=t_out)
+        S = np.matmul(T, Wt[2 * D : 3 * D], out=s_out)
         P += S
         np.abs(np.subtract(Zj, E, out=T), out=T)
         P += np.matmul(T, Wt[3 * D :], out=S)
     H = np.maximum(P, 0.0, out=P).reshape(-1, D)  # the head's relu hidden layer
     s = forward(p.score_head[1], H)
-    cache = (trunk_acts, Z, gamma, E, Zj, H)
+    cache = (trunk_acts, Z, gamma, E, Zj, H, workspace)
     return s.reshape(Zj.shape[:2]), cache
 
 
 def _backward_scores(p: EquiRouterParams, cache, dS: np.ndarray) -> list[np.ndarray]:
-    """Gradients of sum(dS * scores) w.r.t. every parameter, canonical order."""
-    trunk_acts, Z, gamma, E, Zj, H = cache
+    """Gradients of sum(dS * scores) w.r.t. every parameter, canonical order;
+    reuses the forward pass's workspace, if it had one."""
+    trunk_acts, Z, gamma, E, Zj, H, workspace = cache
     B, K = dS.shape
     D = p.latent_dim
+    shape = (B, K, D)
     first, last = p.score_head
     W1 = first.weight
 
-    dH, out_w_grad, out_b_grad = backward(last, H, dS.reshape(B * K, 1))
+    (dh_out,) = _slots(workspace, (B * K, D), _T)
+    dH, out_w_grad, out_b_grad = backward(last, H, dS.reshape(B * K, 1), grad_x_buf=dh_out)
     dH *= H > 0.0  # relu mask from the recorded output: dH is now dP
     dP = dH.reshape(B, K, D)
     dc = dP.sum(axis=0)  # (K, D)
     w1_blocks = [dH.T @ Zj.reshape(-1, D), dc.T @ E]
-    dZj = dP @ W1[:, :D]
+    (dzj_out,) = _slots(workspace, shape, _S)
+    dZj = np.matmul(dP, W1[:, :D], out=dzj_out)
     dE = dc @ W1[:, D : 2 * D]  # (K, D)
     if p.joint_feature:
-        T = Zj * E  # U, X, sign(X): recomputed, so scoring need not keep them
+        # U, X, sign(X): recomputed, so scoring need not keep them
+        u_out, v_out = _slots(workspace, shape, _P, _V)
+        T = np.multiply(Zj, E, out=u_out)
         w1_blocks.append(dH.T @ T.reshape(-1, D))
         np.subtract(Zj, E, out=T)
-        w1_blocks.append(dH.T @ np.abs(T).reshape(-1, D))
-        dV = dP @ W1[:, 3 * D :]
+        w1_blocks.append(dH.T @ np.abs(T, out=v_out).reshape(-1, D))
+        dV = np.matmul(dP, W1[:, 3 * D :], out=v_out)
         dV *= np.sign(T, out=T)
         dZj += dV
         dE -= dV.sum(axis=0)
@@ -307,10 +361,19 @@ def _in_blocks(score, Q: np.ndarray) -> np.ndarray:
     return np.concatenate([score(Q[a:b]) for a, b in zip(edges, edges[1:])])
 
 
-def scores_batch(p: EquiRouterParams, Q: np.ndarray) -> np.ndarray:
+def _largest_block(n: int) -> int:
+    """Rows of the largest block `_in_blocks` scores n rows in."""
+    return n if n < 2 * SCORE_BLOCK else SCORE_BLOCK + n % SCORE_BLOCK
+
+
+def scores_batch(
+    p: EquiRouterParams, Q: np.ndarray, workspace: np.ndarray | None = None
+) -> np.ndarray:
+    """Scores (N, K) in SCORE_BLOCK-row blocks; a `_workspace` holds every
+    block's intermediates, so it needs `_largest_block(N)` rows."""
     terms = _scoring_terms(p)
     return _in_blocks(
-        lambda q: _forward_scores(p, q, terms)[0], np.asarray(Q, dtype=np.float64)
+        lambda q: _forward_scores(p, q, terms, workspace)[0], np.asarray(Q, dtype=np.float64)
     )
 
 
@@ -343,11 +406,13 @@ def build_pair_set(table: RoutingTable, indices: np.ndarray) -> np.ndarray:
 
 
 def _pair_loss(S: np.ndarray, W: np.ndarray) -> tuple[float, np.ndarray, int]:
-    """Mean over the n queries with any pair of sum_ij W_ij log(1 + exp(-t_ij)),
-    t_ij = s_i - s_j; returns (loss, t, n), loss 0 when n is 0."""
+    """Mean over the n queries with any pair of sum_ij W_ij L_ij, where
+    L_ij = log(1 + exp(-t_ij)) and t_ij = s_i - s_j; returns (loss, L, n),
+    loss 0 when n is 0."""
     n = int(np.count_nonzero(W.any(axis=(1, 2))))
     t = S[:, :, None] - S[:, None, :]
-    return (float(np.sum(W * np.logaddexp(0.0, -t))) / n if n else 0.0), t, n
+    L = np.logaddexp(0.0, -t)
+    return (float(np.sum(W * L)) / n if n else 0.0), L, n
 
 
 def ranking_loss(scores: np.ndarray, pairs: np.ndarray) -> float:
@@ -374,15 +439,20 @@ def ranking_objective(
     Q: np.ndarray,
     weights: np.ndarray,
     weight_decay: float = 0.0,
+    workspace: np.ndarray | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Mean per-query pairwise logistic loss plus 0.5 * wd * ||theta||^2, with
     exact analytic gradients in canonical parameter order. `weights` is the
-    batch's slice of `build_pair_set`; queries without pairs are left out."""
-    S, cache = _forward_scores(p, Q, _model_terms(p))
-    loss, t, n = _pair_loss(S, weights)
+    batch's slice of `build_pair_set`; queries without pairs are left out.
+    A `_workspace` holds the network's intermediates."""
+    S, cache = _forward_scores(p, Q, _model_terms(p), workspace)
+    loss, L, n = _pair_loss(S, weights)
     if n == 0:
         raise ValueError("no ranking supervision: every query has an empty pair set")
-    G = weights * np.exp(-np.logaddexp(0.0, t)) / n  # W * sigmoid(-t), overflow-free
+    # W * sigmoid(-t) = W * exp(-log(1 + exp(t))), overflow-free; t_ji = -t_ij
+    # exactly, so log(1 + exp(t)) is L transposed (made contiguous, as exp's
+    # result may depend on the layout)
+    G = weights * np.exp(-np.ascontiguousarray(L.transpose(0, 2, 1))) / n
     grads = _backward_scores(p, cache, G.sum(axis=1) - G.sum(axis=2))
     if weight_decay:
         plist = params_list(p)
@@ -392,10 +462,14 @@ def ranking_objective(
 
 
 def mse_objective(
-    p: EquiRouterParams, Q: np.ndarray, targets: np.ndarray
+    p: EquiRouterParams,
+    Q: np.ndarray,
+    targets: np.ndarray,
+    workspace: np.ndarray | None = None,
 ) -> tuple[float, list[np.ndarray]]:
-    """Mean squared error of scores against per-model targets, with gradients."""
-    S, cache = _forward_scores(p, Q, _model_terms(p))
+    """Mean squared error of scores against per-model targets, with gradients;
+    a `_workspace` holds the network's intermediates."""
+    S, cache = _forward_scores(p, Q, _model_terms(p), workspace)
     loss, dS = _mse(S, targets)
     return loss, _backward_scores(p, cache, dS)
 
@@ -539,10 +613,10 @@ def _train_scores(
         W_valid, valid_q = W_valid[keep], table.embeddings[valid_idx[keep]]
 
         def batch_objective(batch):
-            return ranking_objective(params, Q_train[batch], W_train[batch])
+            return ranking_objective(params, Q_train[batch], W_train[batch], workspace=workspace)
 
         def val_loss() -> float:
-            S = scores_batch(params, valid_q)
+            S = scores_batch(params, valid_q, workspace)
             if not np.isfinite(S).all():  # ranking_loss would raise
                 return float("nan")
             return ranking_loss(S, W_valid)
@@ -552,15 +626,20 @@ def _train_scores(
         valid_q = table.embeddings[valid_idx]
 
         def batch_objective(batch):
-            return mse_objective(params, Q_train[batch], A_train[batch])
+            return mse_objective(params, Q_train[batch], A_train[batch], workspace)
 
         def val_loss() -> float:
-            return _mse(scores_batch(params, valid_q), table.perf[valid_idx])[0]
+            return _mse(scores_batch(params, valid_q, workspace), table.perf[valid_idx])[0]
 
     params = init_equirouter(
         hyper, joint_feature=joint_feature, tag="mse" if objective == "mse" else None
     )
     Q_train = table.embeddings[train_idx]
+    # one workspace for the run: every step and validation block reuses it,
+    # so training allocates (and the OS maps in) no (B, K, D) array per step
+    workspace = _workspace(
+        params, min(hyper.batch_size, train_idx.size), _largest_block(len(valid_q))
+    )
     log = _fit(
         params_list(params),
         lambda values: assign_params(params, values),

@@ -1,6 +1,8 @@
 import io
 import json
+import shutil
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from equirouter import dataset as dataset_module
 from equirouter.dataset import (
+    SIDECAR,
     ModelInfo,
     RoutingTable,
     SynthConfig,
@@ -22,6 +25,7 @@ from equirouter.dataset import (
     save_split,
     save_table,
 )
+from equirouter.neuralnet import load_checkpoint, save_checkpoint
 from equirouter.oracle import margin
 
 from conftest import make_table
@@ -441,14 +445,146 @@ def test_save_table_memory_flat_in_row_count(tmp_path, monkeypatch):
 
 
 def test_load_table_memory_is_the_result_plus_one_block(tmp_path, monkeypatch):
-    # the whole-file loader peaked at about 4.5x the arrays at this size
+    # the whole-file loader peaked at about 4.5x the arrays at this size;
+    # the same bound holds for the sidecar and, once it is deleted, the text
     monkeypatch.setattr(dataset_module, "IO_BLOCK", 64, raising=False)
     save_table(_synth_k11(3000), tmp_path / "t")
-    table, peak = _traced_peak(lambda: load_table(tmp_path / "t"))
-    arrays = table.embeddings.nbytes + table.perf.nbytes + table.cost.nbytes
-    ids = sys.getsizeof(table.query_ids) + sum(map(sys.getsizeof, table.query_ids))
-    block = 64 * 4096  # generous: 4 KB of Python objects per row of a block
-    assert peak <= 2.5 * arrays + ids + block
+    for sidecar in (True, False):
+        if not sidecar:
+            (tmp_path / "t" / SIDECAR).unlink()
+        table, peak = _traced_peak(lambda: load_table(tmp_path / "t"))
+        arrays = table.embeddings.nbytes + table.perf.nbytes + table.cost.nbytes
+        ids = sys.getsizeof(table.query_ids) + sum(map(sys.getsizeof, table.query_ids))
+        block = 64 * 4096  # generous: 4 KB of Python objects per row of a block
+        assert peak <= 2.5 * arrays + ids + block, sidecar
+
+
+# ---------------------------------------------------------------------------
+# table.bin: a hash-checked binary sidecar of the row files
+
+
+def _text_only(root: Path, dest: Path) -> Path:
+    """A copy of a table directory without its sidecar."""
+    shutil.copytree(root, dest, ignore=shutil.ignore_patterns(SIDECAR))
+    return dest
+
+
+def _uses_sidecar(root: Path) -> bool:
+    return dataset_module._load_sidecar(Path(root)) is not None
+
+
+_ODD_IDS = ['"', "\\", "a\nb", "\t", "\u00e9t\u00e9", "\u65e5\u672c", "\u2028", "\ud800", "\x00", ""]
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
+_positive = st.floats(min_value=5e-324, max_value=1e300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9), k=st.integers(2, 4), d=st.integers(1, 3))
+def test_sidecar_loads_what_the_text_loads(data, n, k, d):
+    # 1 to 9 rows at IO_BLOCK = 4: one block, a full block, and several
+    ids = data.draw(st.lists(st.sampled_from(_ODD_IDS) | st.text(max_size=4),
+                             min_size=n, max_size=n))
+
+    def matrix(cols, values):
+        rows = data.draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
+                                  min_size=n, max_size=n))
+        return np.array(rows, dtype=np.float64).reshape(n, cols)
+
+    table = RoutingTable(
+        models=tuple(ModelInfo(j, f"m{j}", float(j)) for j in range(k)),
+        query_ids=tuple(ids),
+        embeddings=matrix(d, _finite),
+        perf=matrix(k, _finite),
+        cost=matrix(k, _positive),
+    )
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset_module, "IO_BLOCK", 4)
+        root = Path(tmp) / "t"
+        save_table(table, root)
+        assert _uses_sidecar(root)
+        text = _text_only(root, Path(tmp) / "text")
+        assert _outcome(load_table, root) == _outcome(load_table, text)
+        assert load_table(root).query_ids == table.query_ids
+
+
+def test_edited_text_loads_from_the_text(tmp_path, table30):
+    save_table(table30, tmp_path / "t")
+    perf = tmp_path / "t" / "perf.csv"
+    lines = perf.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[1] = "0.125"
+    lines[5] = ",".join(cells)
+    perf.write_text("\n".join(lines) + "\n")
+    assert not _uses_sidecar(tmp_path / "t")
+    loaded = load_table(tmp_path / "t")
+    assert loaded.perf[5, 1] == 0.125
+    assert _outcome(load_table, tmp_path / "t") == _outcome(
+        load_table, _text_only(tmp_path / "t", tmp_path / "text"))
+
+
+@pytest.mark.parametrize(
+    "name, edit, error",
+    [
+        ("perf.csv", _drop_last_cell, "perf row 7 has 2 columns, expected 3"),
+        ("cost.csv", lambda line: "x" + line, "unparseable cost value in row 7"),
+        ("queries.jsonl", lambda line: line[:-1], None),
+    ],
+)
+def test_malformed_row_under_a_stale_sidecar_reports_the_text_error(
+        tmp_path, table30, name, edit, error):
+    save_table(table30, tmp_path / "t")
+    path = tmp_path / "t" / name
+    path.write_text(_edit_line(7, edit)(path.read_text()))
+    outcome = _outcome(load_table, tmp_path / "t")
+    assert outcome == _outcome(load_table, _text_only(tmp_path / "t", tmp_path / "text"))
+    assert outcome[0] in (ValueError, json.JSONDecodeError)
+    assert error is None or outcome[1] == error
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-9])
+
+
+def _flip_payload_byte(path):
+    raw = bytearray(path.read_bytes())
+    raw[-300] ^= 0x01  # inside the cost block
+    path.write_bytes(bytes(raw))
+
+
+def _bump_version(path):
+    header, arrays = load_checkpoint(path)
+    header["version"] += 1
+    save_checkpoint(path, {k: v for k, v in header.items() if k != "shapes"}, arrays)
+
+
+@pytest.mark.parametrize("spoil", [_truncate, _flip_payload_byte, _bump_version],
+                         ids=["truncated", "flipped-payload-byte", "unknown-version"])
+def test_bad_sidecar_falls_back_to_the_text(tmp_path, table30, spoil):
+    save_table(table30, tmp_path / "t")
+    spoil(tmp_path / "t" / SIDECAR)
+    assert not _uses_sidecar(tmp_path / "t")
+    assert _outcome(load_table, tmp_path / "t") == _outcome(spec_load_table, tmp_path / "t")
+
+
+def test_save_table_replaces_the_sidecar_and_load_writes_nothing(tmp_path, table30, small_synth):
+    save_table(small_synth, tmp_path / "t")
+    save_table(table30, tmp_path / "t")  # same directory, another table
+    assert _uses_sidecar(tmp_path / "t")
+    before = _saved_bytes(tmp_path / "t")
+    assert _outcome(load_table, tmp_path / "t") == _outcome(spec_load_table, tmp_path / "t")
+    assert _saved_bytes(tmp_path / "t") == before
+
+
+@pytest.mark.parametrize("n", [30, 3000])
+def test_sidecar_load_parses_no_row(tmp_path, monkeypatch, n):
+    # two json.loads calls whatever the row count: models.json and the
+    # sidecar's header; the text path makes one more per query
+    save_table(_synth_k11(n), tmp_path / "t")
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(1) or loads(*a, **k))
+    load_table(tmp_path / "t")
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

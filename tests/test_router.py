@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,12 +20,14 @@ from equirouter.router import (
     MlpRouterParams,
     OracleRouter,
     _assign_layers,
+    _backward_scores,
     _forward_scores,
     _init_two_layer,
     _layer_params,
     _model_terms,
     _nearest,
     _regressor_objective,
+    _workspace,
     assign_params,
     build_pair_set,
     build_pairs,
@@ -400,6 +403,115 @@ def test_route_computes_model_terms_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# training workspace: one buffer for every (B, K, D) intermediate of a run
+
+
+@pytest.mark.parametrize("joint", [True, False])
+@pytest.mark.parametrize("k, d, rows, score_rows", [(5, 7, 9, 12), (6, 32, 256, 500)])
+def test_workspace_forward_backward_are_bytewise_fresh(joint, k, d, rows, score_rows):
+    # a full batch, a shorter last batch and a scoring block larger than the
+    # batch; odd sizes put slots at offsets that are not 16-byte aligned
+    p = init_equirouter(
+        EquiHyper(d_q=4, n_models=k, d_m=5, latent_dim=d, seed=3), joint_feature=joint
+    )
+    terms = _model_terms(p)
+    workspace = _workspace(p, rows, score_rows)
+    rng = make_rng(21, 0)
+    for b in (rows, rows // 2 + 1):
+        Q, dS = rng.standard_normal((b, 4)), rng.standard_normal((b, k))
+        want_s, cache = _forward_scores(p, Q, terms)
+        want_g = _backward_scores(p, cache, dS)
+        got_s, cache = _forward_scores(p, Q, terms, workspace)
+        got_g = _backward_scores(p, cache, dS)
+        assert got_s.tobytes() == want_s.tobytes()  # and not overwritten by backward
+        assert [g.tobytes() for g in got_g] == [g.tobytes() for g in want_g]
+    Q = rng.standard_normal((score_rows, 4))
+    assert (scores_batch(p, Q, workspace).tobytes()
+            == _forward_scores(p, Q, terms)[0].tobytes())
+
+
+def _largest_allocation_per_call(monkeypatch, names):
+    """Wrap router functions; per call, record the largest rise of traced
+    memory within one bytecode of the call (and of everything it calls in
+    Python), which no allocation made by that bytecode can exceed unseen."""
+    state = {"rise": 0, "base": 0}
+    seen = {name: [] for name in names}
+
+    def opcode_tracer(frame, event, arg):
+        frame.f_trace_opcodes = True
+        state["rise"] = max(state["rise"], tracemalloc.get_traced_memory()[1] - state["base"])
+        tracemalloc.reset_peak()
+        state["base"] = tracemalloc.get_traced_memory()[0]
+        return opcode_tracer
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            state["rise"] = 0
+            tracemalloc.reset_peak()
+            state["base"] = tracemalloc.get_traced_memory()[0]
+            sys.settrace(opcode_tracer)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                sys.settrace(None)
+                opcode_tracer(sys._getframe(), "return", None)
+                seen[name].append(state["rise"])
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(router_module, name, spy(name, getattr(router_module, name)))
+    return seen
+
+
+@pytest.mark.parametrize("objective", ["rank", "mse"])
+def test_training_allocates_no_bkd_array_after_the_first_batch(monkeypatch, objective):
+    # criterion-7 sizes, K=6 and D=32 at batch 256, with a 128-row last batch
+    # and 300 validation rows; only numpy's fixed iteration buffers and
+    # arrays of (B, K, K), (B, D) or parameter size remain per call
+    t = generate_synthetic(
+        SynthConfig(n_queries=940, n_models=6, embed_dim=8, tie_fraction=0.5, noise_seed=3)
+    )
+    split = (np.arange(640), np.arange(640, 940))
+    hyper = EquiHyper(d_q=8, n_models=6, d_m=8, latent_dim=32, epochs=2, batch_size=256)
+    name = "ranking_objective" if objective == "rank" else "mse_objective"
+    seen = _largest_allocation_per_call(monkeypatch, [name, "scores_batch"])
+    tracemalloc.start()
+    try:
+        (train_equirouter if objective == "rank" else train_mse_ablation)(t, split, hyper)
+    finally:
+        tracemalloc.stop()
+    assert len(seen[name]) == 6 and len(seen["scores_batch"]) == 2
+    bkd_bytes = 256 * 6 * 32 * 8
+    assert max(seen[name][1:] + seen["scores_batch"]) < bkd_bytes
+
+
+def test_workspace_training_peak_is_no_higher_than_allocating(monkeypatch):
+    # K=11, D=128 at the default batch of 2048 (capped at the 600 training
+    # rows), 700 validation rows scored in blocks of 256 and 444 rows
+    t = generate_synthetic(
+        SynthConfig(n_queries=1300, n_models=11, embed_dim=16, tie_fraction=0.5, noise_seed=2)
+    )
+    split = (np.arange(600), np.arange(600, 1300))
+    hyper = EquiHyper(d_q=16, n_models=11, d_m=16, latent_dim=128, epochs=1, batch_size=2048)
+
+    def traced_training():
+        tracemalloc.start()
+        try:
+            params, _ = train_equirouter(t, split, hyper)
+            return params, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    params, peak = traced_training()
+    # without a workspace every intermediate is allocated where it is made
+    monkeypatch.setattr(router_module, "_workspace", lambda *args: None)
+    params_alloc, peak_alloc = traced_training()
+    assert [v.tobytes() for v in params_list(params)] == [
+        v.tobytes() for v in params_list(params_alloc)]
+    assert peak <= peak_alloc
+
+
+# ---------------------------------------------------------------------------
 # pair construction and ranking loss
 
 
@@ -510,6 +622,33 @@ def test_dense_precedence_matches_per_query_pairs(n, k, seed):
 
 # ---------------------------------------------------------------------------
 # gradient correctness of the full objectives
+
+
+def _ranking_objective_spec(p, Q, W):
+    """The ranking objective with log(1 + exp(t)) computed on its own, as a
+    second logaddexp call, rather than as the transpose of log(1 + exp(-t))."""
+    S, cache = _forward_scores(p, Q, _model_terms(p))
+    n = int(np.count_nonzero(W.any(axis=(1, 2))))
+    t = S[:, :, None] - S[:, None, :]
+    loss = float(np.sum(W * np.logaddexp(0.0, -t))) / n
+    G = W * np.exp(-np.logaddexp(0.0, t)) / n
+    return loss, _backward_scores(p, cache, G.sum(axis=1) - G.sum(axis=2))
+
+
+@pytest.mark.parametrize("b, k", [(1, 2), (7, 3), (13, 5), (69, 11), (255, 6)])
+def test_ranking_objective_is_bytewise_its_spec(b, k):
+    # B * K * K is not a multiple of 8 in any case: SIMD loops leave a tail
+    t = generate_synthetic(
+        SynthConfig(n_queries=b, n_models=k, embed_dim=6, tie_fraction=0.3, noise_seed=b)
+    )
+    W = build_pair_set(t, np.arange(b))
+    if not W.any():
+        W[0, 0, 1] = 1.0
+    p = init_equirouter(EquiHyper(d_q=6, n_models=k, d_m=4, latent_dim=8, seed=k))
+    loss, grads = ranking_objective(p, t.embeddings, W)
+    want_loss, want_grads = _ranking_objective_spec(p, t.embeddings, W)
+    assert loss == want_loss
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
 
 
 @pytest.mark.parametrize(
