@@ -6,16 +6,19 @@ On one small synthetic config (1000 queries, so the 600-query test split is
 scored in two blocks, 256 rows then 344) it runs `synth`, then `train`,
 `sweep --checkpoint`, `diagnose` and `pipeline` for each router kind, each
 through `python -m equirouter.cli` on the package source beside this script,
-with one BLAS thread. Two more sweeps must be refused with exit 1 before any
-write: `refuse-kind` offers the EquiRouter checkpoint as an MLP, and
-`refuse-split` offers the kNN checkpoint to a run at another split.seed.
+with one BLAS thread. `equirouter-pipeline-k11` runs the EquiRouter pipeline
+on an 11-model, 600-query table. Four more steps must be refused with exit 1
+before any write: `refuse-kind` offers the EquiRouter checkpoint as an MLP,
+`refuse-split` offers the kNN checkpoint to a run at another split.seed,
+`refuse-empty-test` runs a pipeline whose split.ratio (1000:1:1) leaves the
+test split empty, and `refuse-nan-gate` one with threshold.min_nauc = nan.
 Last, `run_ablation.py` and `run_noise_collapse.py` run at 600 queries, and
 `synth-9000` writes a 9000-query table that `oracle-sweep-9000` loads, so
 table I/O crosses row-block boundaries (dataset.IO_BLOCK) both ways.
 Every table directory holds a `table.bin` sidecar that load_table reads in
 place of the text; `oracle-sweep-text` repeats `oracle-sweep` on a copy of
 the table without it, `table-text/`, and must write the same bytes.
-The script exits 1 if a step exits otherwise than expected (1 for the two
+The script exits 1 if a step exits otherwise than expected (1 for the four
 refusals and for training the oracle, 0 for the rest), a refused step
 writes its output directory, or the two oracle sweeps differ; it still
 writes every step first.
@@ -67,7 +70,8 @@ diagnose.sigmas = 0,0.1,0.4
 
 
 # steps that must exit 1 and write nothing; every other step must exit 0
-REFUSED = ("oracle-train", "refuse-kind", "refuse-split")
+REFUSED = ("oracle-train", "refuse-kind", "refuse-split", "refuse-empty-test",
+           "refuse-nan-gate")
 
 
 def run(out: Path, env: dict, step: str, *argv: str) -> int:
@@ -104,6 +108,12 @@ def main() -> None:
         SYNTH_KEYS.replace("n_queries = 1000", "n_queries = 9000") + TRAIN_KEYS)
     (out / "table9000.cfg").write_text("table = synth-9000\n" + TRAIN_KEYS)
     (out / "table-text.cfg").write_text("table = table-text\n" + TRAIN_KEYS)
+    small = SYNTH_KEYS.replace("n_queries = 1000", "n_queries = 600")
+    (out / "synth-k11.cfg").write_text(
+        small.replace("n_models = 4", "n_models = 11") + TRAIN_KEYS)
+    (out / "empty-test.cfg").write_text(
+        small + TRAIN_KEYS.replace("split.ratio = 3:1:6", "split.ratio = 1000:1:1"))
+    (out / "nan-gate.cfg").write_text(small + TRAIN_KEYS + "threshold.min_nauc = nan\n")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
                    [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -123,6 +133,10 @@ def main() -> None:
             "--checkpoint", "equirouter-train/equirouter.ckpt"),
         cli("refuse-split", "sweep", "--config", "split7.cfg", "--router", "knn",
             "--checkpoint", "knn-train/knn.ckpt"),
+        cli("equirouter-pipeline-k11", "pipeline", "--config", "synth-k11.cfg",
+            "--router", "equirouter"),
+        cli("refuse-empty-test", "pipeline", "--config", "empty-test.cfg"),
+        cli("refuse-nan-gate", "pipeline", "--config", "nan-gate.cfg"),
         ("run_ablation", ["scripts/run_ablation.py", "--queries", "600", "--epochs", "5"]),
         ("run_noise_collapse", ["scripts/run_noise_collapse.py", "--queries", "600"]),
         cli("synth-9000", "synth", "--config", "synth9000.cfg"),

@@ -41,8 +41,8 @@ THRESHOLD_KEYS):
     threshold.max_qnc_relative
 
 Exit codes: 0 success, 1 invalid config or input (a table, split.json or
-checkpoint that does not fit; nothing is written), 2 runtime/numerics error,
-3 metric threshold violated.
+checkpoint that does not fit, or an empty split part the command needs;
+nothing is written), 2 runtime/numerics error, 3 metric threshold violated.
 """
 
 from __future__ import annotations
@@ -145,6 +145,9 @@ class ExperimentConfig:
                 )
         if sorted(self.margin_thresholds) != list(self.margin_thresholds):
             raise ConfigError("diagnose.margin_thresholds must be sorted ascending")
+        for key, limit in self.thresholds.items():
+            if not np.isfinite(limit):  # a NaN gate could never fire
+                raise ConfigError(f"{key} must be finite, got {limit}")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -246,30 +249,42 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 # shared plumbing
 
 
-def _read_inputs(cfg: ExperimentConfig) -> tuple[RoutingTable, SplitIndices, bool]:
+def _read_inputs(
+    cfg: ExperimentConfig, train: bool = False, test: bool = False
+) -> tuple[RoutingTable, SplitIndices, bool]:
     """Read and check the table and its split; writes nothing.
 
     The split is the table directory's split.json or, when there is none, one
     made from split.ratio/split.seed; the flag is True for a made split,
-    which `_open_out` writes.
+    which `_open_out` writes. `train` and `test` require that part of the
+    split to be non-empty.
     """
     try:
         table = generate_synthetic(cfg.synth) if cfg.table is None else load_table(cfg.table)
     except (ValueError, FileNotFoundError) as exc:
         raise ConfigError(f"invalid table: {exc}") from exc
     split_path = Path(cfg.table or ".", "split.json")  # only read for a table directory
-    if cfg.table is None or not split_path.is_file():
-        return table, make_split(table.n_queries, cfg.split_ratio, cfg.split_seed), True
-    try:
-        split = load_split(split_path)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid {split_path}: {exc}") from exc
-    n_split = len(split.train) + len(split.valid) + len(split.test)
-    if n_split != table.n_queries:
-        raise ConfigError(
-            f"split.json partitions {n_split} queries but the table has {table.n_queries}"
-        )
-    return table, split, False
+    made = cfg.table is None or not split_path.is_file()
+    if made:
+        split = make_split(table.n_queries, cfg.split_ratio, cfg.split_seed)
+        source = f"split.ratio {':'.join(f'{r:g}' for r in cfg.split_ratio)}"
+    else:
+        try:
+            split = load_split(split_path)
+        except ValueError as exc:
+            raise ConfigError(f"invalid {split_path}: {exc}") from exc
+        n_split = len(split.train) + len(split.valid) + len(split.test)
+        if n_split != table.n_queries:
+            raise ConfigError(
+                f"split.json partitions {n_split} queries but the table has {table.n_queries}"
+            )
+        source = str(split_path)
+    for part, rows, needed in (("training", split.train, train), ("test", split.test, test)):
+        if needed and not rows:
+            raise ConfigError(
+                f"the {part} split of the table's {table.n_queries} queries is empty ({source})"
+            )
+    return table, split, made
 
 
 def _open_out(cfg: ExperimentConfig, split: SplitIndices, made: bool) -> Path:
@@ -453,7 +468,7 @@ def cmd_synth(cfg: ExperimentConfig) -> int:
 def cmd_train(cfg: ExperimentConfig) -> int:
     if cfg.router == "oracle":
         raise ConfigError("the oracle router has no parameters to train")
-    table, split, made = _read_inputs(cfg)
+    table, split, made = _read_inputs(cfg, train=True)
     out = _open_out(cfg, split, made)
     _train_and_save(cfg, table, split, out)
     print(f"wrote checkpoint {out / (cfg.router + '.ckpt')}")
@@ -461,14 +476,14 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, checkpoint: str | None) -> int:
-    table, split, made = _read_inputs(cfg)
+    table, split, made = _read_inputs(cfg, test=True)
     router, cost_predictor = _load_checkpoints(cfg, checkpoint, table, split)
     out = _open_out(cfg, split, made)
     return _sweep_and_report(cfg, table, split, router, cost_predictor, out)
 
 
 def cmd_diagnose(cfg: ExperimentConfig) -> int:
-    table, split, made = _read_inputs(cfg)
+    table, split, made = _read_inputs(cfg, train=cfg.router != "oracle", test=True)
     out = _open_out(cfg, split, made)
     test_idx = np.asarray(split.test, dtype=np.int64)
 
@@ -498,7 +513,7 @@ def cmd_diagnose(cfg: ExperimentConfig) -> int:
 
 
 def cmd_pipeline(cfg: ExperimentConfig) -> int:
-    table, split, made = _read_inputs(cfg)
+    table, split, made = _read_inputs(cfg, train=cfg.router != "oracle", test=True)
     out = _open_out(cfg, split, made)
     if cfg.synth is not None:
         save_table(table, out / "table")

@@ -210,13 +210,33 @@ def save_split(split: SplitIndices, path: Path | str) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer (a Python int, not a bool)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_split(path: Path | str) -> SplitIndices:
+    """A save_split file; ValueError naming the first field that is missing
+    or holds something other than integers."""
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError("expected a JSON object")
+    for key in ("seed", "train", "valid", "test"):
+        if key not in payload:
+            raise ValueError(f'no "{key}" field')
+    if not _is_int(payload["seed"]):
+        raise ValueError(f'"seed" is not an integer: {payload["seed"]!r}')
+    for key in ("train", "valid", "test"):
+        if not isinstance(payload[key], list):
+            raise ValueError(f'"{key}" is not a list of indices')
+        bad = [i for i in payload[key] if not _is_int(i)]
+        if bad:
+            raise ValueError(f'"{key}" holds a non-integer index {bad[0]!r}')
     return SplitIndices(
         train=tuple(payload["train"]),
         valid=tuple(payload["valid"]),
         test=tuple(payload["test"]),
-        seed=int(payload["seed"]),
+        seed=payload["seed"],
     )
 
 
@@ -398,6 +418,25 @@ def _load_queries(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(query_ids), np.concatenate(blocks)
 
 
+def _load_models(path: Path) -> tuple[ModelInfo, ...]:
+    """models.json's entries sorted by id; ValueError naming the first entry
+    with a missing field or a value of the wrong type."""
+    raw = json.loads(path.read_text())
+    if not isinstance(raw, list):
+        raise ValueError(f"{path.name} is not a JSON array")
+    models = []
+    for n, entry in enumerate(raw):
+        for key in ("id", "name", "unit_price"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise ValueError(f'{path.name} entry {n} has no "{key}"')
+        try:
+            models.append(ModelInfo(model_id=int(entry["id"]), name=str(entry["name"]),
+                                    unit_price=float(entry["unit_price"])))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path.name} entry {n}: {exc}") from exc
+    return tuple(sorted(models, key=lambda m: m.model_id))
+
+
 def load_table(path: Path | str) -> RoutingTable:
     """Load and validate a table directory written by save_table, from its
     table.bin sidecar when that provably matches the text files."""
@@ -405,11 +444,7 @@ def load_table(path: Path | str) -> RoutingTable:
     models_path = root / "models.json"
     if not models_path.is_file():
         raise FileNotFoundError(f"missing {models_path}")
-    raw_models = json.loads(models_path.read_text())
-    models = tuple(
-        ModelInfo(model_id=int(m["id"]), name=str(m["name"]), unit_price=float(m["unit_price"]))
-        for m in sorted(raw_models, key=lambda m: int(m["id"]))
-    )
+    models = _load_models(models_path)
 
     queries_path = root / "queries.jsonl"
     if not queries_path.is_file():

@@ -5,9 +5,10 @@ arrays, and every network in the package backpropagates through `backward`:
 `forward_layers` records each layer's input and output on the way forward
 and `backward_layers` replays them in reverse. A relu layer's backward reads
 its mask from the recorded output (y > 0 exactly where the pre-activation
-is > 0), so no pre-activation is recomputed. Parameters travel as flat lists
-of arrays in a fixed order so the optimizer, the gradient checker and the
-checkpoint format all agree on the coordinate layout. Initialization is
+is > 0), so no pre-activation is recomputed. Parameters travel as lists of
+arrays in a fixed order, so the gradient checker and the checkpoint format
+agree on the coordinate layout; Adam updates one flat vector, those arrays
+concatenated in the same order, and returns a new one. Initialization is
 uniform in +-sqrt(6 / (fan_in + fan_out)) from a seeded Philox stream;
 training is single-threaded and bit-reproducible for a fixed seed.
 """
@@ -136,56 +137,53 @@ def backward_layers(
 
 @dataclass
 class AdamState:
-    """Adam moments plus decoupled weight decay (applied outside the moments)."""
+    """Adam moments of one flat parameter vector, plus decoupled weight decay
+    (applied outside the moments)."""
 
     learning_rate: float = 1e-3
     weight_decay: float = 0.0
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def init_adam(
-    params: Sequence[np.ndarray],
+    size: int,
     learning_rate: float = 1e-3,
     weight_decay: float = 0.0,
 ) -> AdamState:
+    """Zero moments for a flat parameter vector of `size` values."""
     return AdamState(
         learning_rate=learning_rate,
         weight_decay=weight_decay,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
+        m=np.zeros(size),
+        v=np.zeros(size),
     )
 
 
-def adam_step(
-    state: AdamState, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]
-) -> list[np.ndarray]:
-    """One bias-corrected Adam update; returns new parameter arrays.
+def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """One bias-corrected Adam update of the flat vector `theta`; returns a
+    new vector and leaves `theta` as it was.
 
-    The weight-decay term subtracts lr * decay * param directly, i.e. the
+    The weight-decay term subtracts lr * decay * theta directly, i.e. the
     gradient of the penalty 0.5 * decay * ||theta||^2, independent of the
     moment estimates.
     """
-    if len(params) != len(state.m) or len(params) != len(grads):
-        raise ValueError("parameter/gradient lists do not match optimizer state")
+    if theta.shape != state.m.shape or grad.shape != state.m.shape:
+        raise ValueError(
+            f"parameter shape {theta.shape} and gradient shape {grad.shape} "
+            f"do not match the optimizer state's {state.m.shape}"
+        )
     state.step += 1
     t = state.step
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ValueError(f"param {i} shape {p.shape} != grad shape {g.shape}")
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        new = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-        if state.weight_decay:
-            new = new - state.learning_rate * state.weight_decay * p
-        out.append(new)
-    return out
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - ADAM_BETA1**t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**t)
+    new = theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    if state.weight_decay:
+        new = new - state.learning_rate * state.weight_decay * theta
+    return new
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,9 @@ objectives compute them fresh on every call; scoring (`scores_batch`, and so
 parameter set and keeps them in a private slot on the params, keyed on the
 identity of the seven arrays they are read from. Hence the contract: once an
 EquiRouter has scored, its parameter arrays are replaced, never edited in
-place. `assign_params`, Adam and `load_router` all replace arrays.
+place. `assign_params` and `load_router` replace arrays; in training they
+are views of the run's flat parameter vector, and each Adam step returns a
+fresh vector whose views replace the last step's (`_fit`).
 
 Every router scores a batch in blocks of SCORE_BLOCK = 256 query rows, the
 remainder merged into the last (256-511 rows): scoring memory is O(511 * K * D),
@@ -497,13 +499,22 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarr
     return [order[i : i + size] for i in range(0, n, size)]
 
 
-def _check_finite(epoch: int, what: str, loss: float, plist: list[np.ndarray]) -> None:
-    for i, v in enumerate(plist):
-        if not np.isfinite(v).all():
-            raise FloatingPointError(
-                f"training diverged at epoch {epoch}: parameter {i} "
-                "(canonical order) is not finite after the Adam step"
-            )
+def _check_finite(
+    epoch: int,
+    what: str,
+    loss: float,
+    theta: np.ndarray | None = None,
+    ends: np.ndarray | None = None,
+) -> None:
+    """Raise FloatingPointError if the flat parameter vector `theta` holds a
+    non-finite value, naming its parameter (`ends` are the parameters' end
+    offsets), or else if `loss`, the `what`, is not finite."""
+    if theta is not None and not np.isfinite(theta).all():
+        i = np.searchsorted(ends, np.argmin(np.isfinite(theta)), side="right")
+        raise FloatingPointError(
+            f"training diverged at epoch {epoch}: parameter {i} "
+            "(canonical order) is not finite after the Adam step"
+        )
     if not np.isfinite(loss):
         raise FloatingPointError(f"training diverged at epoch {epoch}: {what} is {loss}")
 
@@ -519,44 +530,54 @@ def _fit(
 ) -> list[TrainLogRow]:
     """Seeded minibatch Adam shared by every trainer.
 
-    `batch_objective(rows)` returns (loss, grads in `plist` order),
-    `assign(values)` installs parameters and `val_loss()` (None: no
-    validation signal) scores them. Logs both losses per epoch, leaves the
+    The run keeps its parameters as one flat vector, the arrays of `plist`
+    concatenated in order. `batch_objective(rows)` returns (loss, grads in
+    `plist` order); each Adam step makes a new vector, and `assign(values)`
+    installs views of it shaped like `plist`, which `val_loss()` (None: no
+    validation signal) scores. No vector is edited once made, so the best
+    epoch's is kept by reference. Logs both losses per epoch, leaves the
     lowest-validation-loss epoch installed (else the last), and raises
     FloatingPointError once a loss or an updated parameter is not finite.
     A finite batch loss over BLOW_UP times the first (pre-update) one raises
     it after the last epoch, naming its epoch, unless the run overflows first.
     """
-    adam = init_adam(plist, learning_rate=hyper.learning_rate, weight_decay=weight_decay)
+    shapes = [v.shape for v in plist]
+    ends = np.cumsum([v.size for v in plist])
+    theta = np.concatenate([v.ravel() for v in plist])
+
+    def install(theta: np.ndarray) -> None:
+        assign([part.reshape(shape) for part, shape in zip(np.split(theta, ends[:-1]), shapes)])
+
+    adam = init_adam(theta.size, learning_rate=hyper.learning_rate, weight_decay=weight_decay)
     log: list[TrainLogRow] = []
-    best = (np.inf, [v.copy() for v in plist])
+    best = (np.inf, theta)
     first, blow_up = None, None
     for epoch in range(hyper.epochs):
         rng = make_rng(hyper.seed, STREAM_SHUFFLE, epoch)
         total, count = 0.0, 0
         for batch in _batches(n_train, hyper.batch_size, rng):
             loss, grads = batch_objective(batch)
-            plist = adam_step(adam, plist, grads)
-            _check_finite(epoch, "batch loss", loss, plist)
+            theta = adam_step(adam, theta, np.concatenate([g.ravel() for g in grads]))
+            _check_finite(epoch, "batch loss", loss, theta, ends)
             first = loss if first is None else first
             if blow_up is None and loss > BLOW_UP * first:
                 blow_up = (epoch, loss)
-            assign(plist)
+            install(theta)
             total += loss * batch.size
             count += batch.size
         vl = float("nan")
         if val_loss is not None:
             vl = val_loss()
-            _check_finite(epoch, "validation loss", vl, [])
+            _check_finite(epoch, "validation loss", vl)
         log.append(TrainLogRow(epoch=epoch, train_loss=total / count, val_loss=vl))
         if vl < best[0]:
-            best = (vl, [v.copy() for v in plist])
+            best = (vl, theta)
     if blow_up is not None:
         epoch, loss = blow_up
         raise FloatingPointError(f"training diverged at epoch {epoch}: batch loss {loss:.3g} "
                                  f"is over {BLOW_UP:g} times the first batch loss {first:.3g}")
     if np.isfinite(best[0]):
-        assign(best[1])
+        install(best[1])
     return log
 
 

@@ -26,6 +26,7 @@ from equirouter.cli import (
     parse_config_text,
 )
 from equirouter.dataset import (
+    SplitIndices,
     SynthConfig,
     generate_synthetic,
     load_split,
@@ -144,6 +145,8 @@ def test_config_value_error_names_its_key(tmp_path, capsys):
         ("split.ratio", "inf:1:1"),
         ("synth.cost_spread", "inf"),
         ("synth.margin_scale", "inf"),
+        ("threshold.min_nauc", "nan"),
+        ("threshold.max_rci", "inf"),
     ],
 )
 def test_out_of_range_training_values_rejected_before_any_write(tmp_path, capsys, key, value):
@@ -295,6 +298,23 @@ def _save_overlapping_split(path):
     path.write_text(json.dumps(payload))
 
 
+def _edit_split(edit):
+    """A writer of a 300-query split.json that `edit` changes first."""
+    def write(path):
+        _save_split_of(300)(path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+    return write
+
+
+def _save_models_without_id(path):
+    _save_split_of(300)(path)
+    models = json.loads((path.parent / "models.json").read_text())
+    del models[1]["id"]
+    (path.parent / "models.json").write_text(json.dumps(models))
+
+
 @pytest.mark.parametrize(
     "write_split, table_n, error",
     [
@@ -315,6 +335,18 @@ def _save_overlapping_split(path):
             lambda path: path.write_text("{bad"), 300,
             "split.json: Expecting property name", id="bad-json",
         ),
+        pytest.param(
+            _edit_split(lambda payload: payload.pop("valid")), 300,
+            'split.json: no "valid" field', id="no-valid",
+        ),
+        pytest.param(
+            _edit_split(lambda payload: payload["train"].__setitem__(0, "x")), 300,
+            """split.json: "train" holds a non-integer index 'x'""", id="non-integer-index",
+        ),
+        pytest.param(
+            _save_models_without_id, 300,
+            'error: invalid table: models.json entry 1 has no "id"', id="model-without-id",
+        ),
     ],
 )
 def test_split_that_does_not_cover_the_table_is_rejected(
@@ -332,6 +364,52 @@ def test_split_that_does_not_cover_the_table_is_rejected(
     err = capsys.readouterr().err
     assert error in err, err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["sweep", "diagnose", "pipeline"])
+@pytest.mark.parametrize("router", ["oracle", "equirouter"])
+def test_empty_test_split_is_rejected_before_any_write(tmp_path, capsys, command, router):
+    # 60 queries at 1000:1:1 all go to training
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, SYNTH_CONFIG, **{
+        "synth.n_queries": 60, "split.ratio": "1000:1:1", "router": router, "out": out})
+    checkpoint = ["--checkpoint", str(tmp_path / "x.ckpt")] if command == "sweep" else []
+    assert main([command, "--config", cfg, *checkpoint]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: the test split of the table's 60 queries is empty "
+                          "(split.ratio 1000:1:1)"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, router, code",
+    [
+        ("train", "knn", EXIT_CONFIG),
+        ("train", "mse", EXIT_CONFIG),
+        ("diagnose", "mlp", EXIT_CONFIG),
+        ("pipeline", "equirouter", EXIT_CONFIG),
+        ("pipeline", "oracle", EXIT_OK),  # the oracle trains nothing
+        ("diagnose", "oracle", EXIT_OK),
+    ],
+)
+def test_empty_training_split_is_rejected_where_something_trains(
+    tmp_path, capsys, command, router, code
+):
+    table = generate_synthetic(SynthConfig(n_queries=60, n_models=3, embed_dim=4, noise_seed=0))
+    tdir = tmp_path / "table"
+    save_table(table, tdir)
+    split = make_split(60, (3, 1, 6), 42)
+    save_split(SplitIndices(train=(), valid=split.valid, test=tuple(sorted(
+        split.train + split.test)), seed=42), tdir / "split.json")
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, "grid_points = 10\ntrain.epochs = 2\n",
+                       table=tdir, out=out, router=router)
+    assert main([command, "--config", cfg]) == code
+    if code == EXIT_CONFIG:
+        err = capsys.readouterr().err
+        assert err.startswith("error: the training split of the table's 60 queries is empty "
+                              f"({tdir / 'split.json'})"), err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

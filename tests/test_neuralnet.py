@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equirouter.neuralnet import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     DenseLayer,
     adam_step,
     backward,
@@ -137,44 +140,84 @@ def test_backward_matches_fd_any_shape(n_in, n_out, batch, act, seed):
 # Adam
 
 
+def reference_adam_step(state, params, grads):
+    """Adam as a per-array update, the form it took before it updated one
+    flat vector: the reference spec of `adam_step`. `state` is
+    [step, m list, v list, learning rate, weight decay]."""
+    state[0] += 1
+    t, m, v, lr, wd = state
+    out = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
+        v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m[i] / (1.0 - ADAM_BETA1**t)
+        v_hat = v[i] / (1.0 - ADAM_BETA2**t)
+        new = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        if wd:
+            new = new - lr * wd * p
+        out.append(new)
+    return out
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4, 0.5])
+def test_adam_step_is_bytewise_the_per_array_update(weight_decay):
+    rng = make_rng(7, 3)
+    shapes = [(5, 3), (5,), (1, 5), (1,), (4, 4, 2)]
+    params = [rng.standard_normal(shape) for shape in shapes]
+    ref_state = [0, [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes], 3e-3,
+                 weight_decay]
+    theta = np.concatenate([v.ravel() for v in params])
+    state = init_adam(theta.size, learning_rate=3e-3, weight_decay=weight_decay)
+    for _ in range(10):
+        grads = [rng.standard_normal(shape) for shape in shapes]
+        before = theta.tobytes()
+        new = adam_step(state, theta, np.concatenate([g.ravel() for g in grads]))
+        assert theta.tobytes() == before  # a new vector; the old one is kept
+        theta = new
+        params = reference_adam_step(ref_state, params, grads)
+        assert theta.tobytes() == np.concatenate([v.ravel() for v in params]).tobytes()
+    assert state.step == 10
+    assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_state[1]]).tobytes()
+    assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_state[2]]).tobytes()
+
+
 def test_adam_zero_grads_is_identity():
-    params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-    state = init_adam(params, learning_rate=0.1, weight_decay=0.0)
-    out = adam_step(state, params, [np.zeros(2), np.zeros((1, 1))])
-    assert np.array_equal(out[0], params[0]) and np.array_equal(out[1], params[1])
+    theta = np.array([1.0, -2.0, 3.0])
+    state = init_adam(theta.size, learning_rate=0.1, weight_decay=0.0)
+    out = adam_step(state, theta, np.zeros(3))
+    assert np.array_equal(out, theta) and out is not theta
 
 
 def test_adam_first_step_magnitude():
-    params = [np.array([1.0])]
-    state = init_adam(params, learning_rate=1e-3)
-    out = adam_step(state, params, [np.array([1.0])])
-    assert out[0][0] == pytest.approx(1.0 - 1e-3, abs=1e-8)
+    state = init_adam(1, learning_rate=1e-3)
+    out = adam_step(state, np.array([1.0]), np.array([1.0]))
+    assert out[0] == pytest.approx(1.0 - 1e-3, abs=1e-8)
 
 
 def test_adam_decay_only():
-    params = [np.array([2.0])]
-    state = init_adam(params, learning_rate=0.01, weight_decay=0.5)
-    out = adam_step(state, params, [np.array([0.0])])
-    assert out[0][0] == pytest.approx(2.0 - 0.01 * 0.5 * 2.0)
+    state = init_adam(1, learning_rate=0.01, weight_decay=0.5)
+    out = adam_step(state, np.array([2.0]), np.array([0.0]))
+    assert out[0] == pytest.approx(2.0 - 0.01 * 0.5 * 2.0)
 
 
 def test_adam_deterministic():
     def run():
-        rng = make_rng(4, 2)
-        params = [rng.standard_normal((3, 2))]
-        state = init_adam(params, learning_rate=0.01)
+        theta = make_rng(4, 2).standard_normal(6)
+        state = init_adam(theta.size, learning_rate=0.01)
         for _ in range(10):
-            params = adam_step(state, params, [params[0] * 0.3])
-        return params[0]
+            theta = adam_step(state, theta, theta * 0.3)
+        return theta
 
     assert np.array_equal(run(), run())
 
 
 def test_adam_shape_mismatch():
-    params = [np.zeros(2)]
-    state = init_adam(params)
-    with pytest.raises(ValueError):
-        adam_step(state, params, [np.zeros(3)])
+    state = init_adam(2)
+    with pytest.raises(ValueError, match="gradient shape"):
+        adam_step(state, np.zeros(2), np.zeros(3))
+    with pytest.raises(ValueError, match="optimizer state"):
+        adam_step(state, np.zeros(3), np.zeros(3))
+    assert state.step == 0
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from equirouter.router import (
     MlpRouterParams,
     OracleRouter,
     _assign_layers,
+    _fit,
     _backward_scores,
     _forward_scores,
     _init_two_layer,
@@ -754,6 +755,54 @@ def test_train_equirouter_deterministic(tmp_path):
     save_router(tmp_path / "a.ckpt", a)
     save_router(tmp_path / "b.ckpt", b)
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [0, 6, 12])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_fit_names_the_non_finite_parameter(bad, where):
+    # a gradient that is NaN in one value of parameter `bad` makes that value
+    # of the updated vector NaN; the message names the parameter, also when
+    # the value is the first or last of its array (the offsets' boundaries)
+    plist = params_list(init_equirouter(tiny_hyper(3, 2)))
+    assert len(plist) == 13
+    installed = []
+
+    def objective(rows):
+        grads = [np.zeros_like(v) for v in plist]
+        grads[bad].reshape(-1)[0 if where == "first" else -1] = np.nan
+        return 1.0, grads
+
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError) as info:
+        _fit(plist, installed.append, objective, None, 4, tiny_hyper(3, 2, epochs=2))
+    assert str(info.value) == (
+        f"training diverged at epoch 0: parameter {bad} (canonical order) "
+        "is not finite after the Adam step"
+    )
+    assert installed == []
+
+
+def test_fit_installs_views_of_fresh_vectors_and_keeps_the_best():
+    # every step installs new arrays, views of one vector shaped like the
+    # parameters; the best epoch's values come back at the end untouched
+    plist = [np.zeros((2, 3)), np.zeros(3), np.zeros(1)]
+    installed = []
+    val_losses = iter([3.0, 1.0, 2.0])
+
+    def objective(rows):
+        return 1.0, [np.ones_like(v) for v in plist]
+
+    hyper = MlpHyper(d_q=1, n_models=1, epochs=3, batch_size=4, learning_rate=0.1)
+    _fit(plist, lambda values: installed.append(values), objective,
+         lambda: next(val_losses), 4, hyper)
+    assert len(installed) == 4  # one per epoch, then the best
+    for values in installed:
+        assert [v.shape for v in values] == [(2, 3), (3,), (1,)]
+        assert all(v.base is values[0].base for v in values)
+        assert values[0].base.shape == (10,)
+    assert len({id(values[0].base) for values in installed[:3]}) == 3
+    assert installed[-1][0].base is installed[1][0].base  # epoch 1's vector
+    assert np.allclose(installed[-1][0], -0.2)
+    assert all(np.all(v == 0.0) for v in plist)
 
 
 def test_train_equirouter_no_supervision():
