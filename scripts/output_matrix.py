@@ -31,6 +31,18 @@ never written under OUT.
     python3 scripts/output_matrix.py OUT_A
     python3 scripts/output_matrix.py OUT_B    # e.g. from a parent checkout
     diff -r OUT_A OUT_B
+
+With `--base REV` the script compares against a git revision in one command.
+It checks REV out as a git worktree under .perfbench-work/ and runs this
+script's matrix on that tree's src/ and scripts/ into OUT/base, so rows new
+to this script also run on the base. It then runs the matrix on this tree
+into OUT/current and compares the two directories file by file. It prints
+every path that differs and every step the base could not run as expected,
+and exits 1 on any difference that no `--expect GLOB` matches (fnmatch on the
+path relative to OUT/base, for example `--expect '*/table.bin'`), or if a
+step of this tree exits otherwise than expected.
+
+    python3 scripts/output_matrix.py OUT --base HEAD~1
 """
 
 import argparse
@@ -38,8 +50,12 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import contextmanager
+from fnmatch import fnmatch
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -74,11 +90,11 @@ REFUSED = ("oracle-train", "refuse-kind", "refuse-split", "refuse-empty-test",
            "refuse-nan-gate")
 
 
-def run(out: Path, env: dict, step: str, *argv: str) -> int:
+def run(out: Path, env: dict, tree: Path, step: str, *argv: str) -> int:
     """Run argv inside OUT, log it to OUT/<step>.log and return its exit code.
     argv[0] is `equirouter`, run as `python -m equirouter.cli`, or a path
-    under the repository root."""
-    prog = ["-m", "equirouter.cli"] if argv[0] == "equirouter" else [str(ROOT / argv[0])]
+    under the repository root `tree`."""
+    prog = ["-m", "equirouter.cli"] if argv[0] == "equirouter" else [str(tree / argv[0])]
     proc = subprocess.run([sys.executable, *prog, *argv[1:]], cwd=out, env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     shown = " ".join(argv)
@@ -91,13 +107,10 @@ def cli(step: str, *args: str) -> tuple[str, list[str]]:
     return step, ["equirouter", *args, "--out", step]
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("out", type=Path, help="output directory; must be new or empty")
-    out = ap.parse_args().out
-    if out.exists() and any(out.iterdir()):
-        sys.exit(f"{out} is not empty")
+def run_matrix(out: Path, tree: Path) -> list[str]:
+    """Run every step on the package and scripts of the repository root
+    `tree` into OUT, which must be new or empty; returns the unexpected
+    results."""
     out.mkdir(parents=True, exist_ok=True)
     # synth, diagnose and pipeline generate the table; train and sweep load it
     (out / "synth.cfg").write_text(SYNTH_KEYS + TRAIN_KEYS)
@@ -116,7 +129,7 @@ def main() -> None:
     (out / "nan-gate.cfg").write_text(small + TRAIN_KEYS + "threshold.min_nauc = nan\n")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-                   [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+                   [str(tree / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
 
     steps = [("synth", ["equirouter", "synth", "--config", "synth.cfg", "--out", "table"])]
     for kind in ROUTER_KINDS:
@@ -143,10 +156,9 @@ def main() -> None:
         cli("oracle-sweep-9000", "sweep", "--config", "table9000.cfg", "--router", "oracle"),
     ]
 
-    start = time.perf_counter()
     wrong = []
     for step, argv in steps:
-        code = run(out, env, step, *argv)
+        code = run(out, env, tree, step, *argv)
         if code != (1 if step in REFUSED else 0):
             wrong.append(f"{step} exited {code}")
         if step in REFUSED and (out / step).exists():
@@ -156,13 +168,79 @@ def main() -> None:
     shutil.copytree(out / "table", out / "table-text", ignore=shutil.ignore_patterns("table.bin"))
     step, argv = cli("oracle-sweep-text", "sweep", "--config", "table-text.cfg",
                      "--router", "oracle")
-    if (code := run(out, env, step, *argv)) != 0:
+    if (code := run(out, env, tree, step, *argv)) != 0:
         wrong.append(f"{step} exited {code}")
     for name in ("curve.csv", "metrics.json", "rci_detail.csv"):
         text, sidecar = out / step / name, out / "oracle-sweep" / name
         if not (text.is_file() and sidecar.is_file()
                 and text.read_bytes() == sidecar.read_bytes()):
             wrong.append(f"{step}/{name} differs from oracle-sweep/{name}")
+    return wrong
+
+
+@contextmanager
+def base_worktree(rev: str, repo: Path = ROOT) -> Iterator[Path]:
+    """Check REV of the git repository `repo` out as a detached worktree
+    under repo/.perfbench-work/, yield its root and remove it afterwards."""
+    work = repo / ".perfbench-work"
+    work.mkdir(exist_ok=True)
+    tree = Path(tempfile.mkdtemp(prefix="base-", dir=work))
+    git = ["git", "-C", str(repo)]
+    if subprocess.run([*git, "worktree", "add", "--quiet", "--detach", str(tree), rev]).returncode:
+        tree.rmdir()
+        sys.exit(f"cannot check out {rev!r} as a worktree of {repo}")
+    try:
+        yield tree
+    finally:
+        subprocess.run([*git, "worktree", "remove", "--force", str(tree)], check=True)
+
+
+def differing_paths(a: Path, b: Path) -> list[str]:
+    """Paths relative to A and B of the files that are in only one of them
+    or whose bytes differ, sorted."""
+    def files(root):
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    fa, fb = files(a), files(b)
+    return sorted(p for p in fa | fb
+                  if p not in fa or p not in fb or (a / p).read_bytes() != (b / p).read_bytes())
+
+
+def compare_with_base(out: Path, rev: str, expect: list[str], repo: Path = ROOT) -> list[str]:
+    """Run the matrix on REV's worktree into OUT/base and on `repo` into
+    OUT/current; print what differs and return the unexpected results."""
+    with base_worktree(rev, repo) as tree:
+        for line in run_matrix(out / "base", tree):
+            print(f"base {rev}: {line}")
+    wrong = run_matrix(out / "current", repo)
+    for path in differing_paths(out / "base", out / "current"):
+        if any(fnmatch(path, glob) for glob in expect):
+            print(f"differs (expected): {path}")
+        else:
+            print(f"differs: {path}")
+            wrong.append(f"{path} differs from the base")
+    return wrong
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("out", type=Path, help="output directory; must be new or empty")
+    ap.add_argument("--base", metavar="REV",
+                    help="git revision to compare against, file by file")
+    ap.add_argument("--expect", metavar="GLOB", action="append", default=[],
+                    help="a path that may differ from the base (with --base)")
+    args = ap.parse_args()
+    out = args.out
+    if out.exists() and any(out.iterdir()):
+        sys.exit(f"{out} is not empty")
+    if args.expect and args.base is None:
+        sys.exit("--expect needs --base")
+    start = time.perf_counter()
+    if args.base is None:
+        wrong = run_matrix(out, ROOT)
+    else:
+        wrong = compare_with_base(out, args.base, args.expect)
     print(f"wrote {out} in {time.perf_counter() - start:.1f} s")
     if wrong:
         sys.exit("unexpected results: " + "; ".join(wrong))

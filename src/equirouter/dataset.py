@@ -7,7 +7,7 @@ and safe to share across workers.
 
 On-disk layout of a table directory::
 
-    models.json    array of {"id": int, "name": str, "unit_price": float}
+    models.json    array of {"id": int, "name": str, "unit_price": float >= 0}
     queries.jsonl  one {"query_id": str, "embedding": [float, ...]} per line
     perf.csv       N rows x K columns, no header, full decimal precision
     cost.csv       same shape, strictly positive entries
@@ -119,7 +119,9 @@ def validate_table(table: RoutingTable) -> None:
     if len(set(names)) != K:
         raise ValueError("model names must be unique")
     for m in table.models:
-        if not (m.unit_price >= 0):
+        if not np.isfinite(m.unit_price):
+            raise ValueError(f"non-finite unit_price for model {m.model_id}")
+        if m.unit_price < 0:
             raise ValueError(f"negative unit_price for model {m.model_id}")
 
     N = len(table.query_ids)
@@ -419,9 +421,13 @@ def _load_queries(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def _load_models(path: Path) -> tuple[ModelInfo, ...]:
-    """models.json's entries sorted by id; ValueError naming the first entry
-    with a missing field or a value of the wrong type."""
-    raw = json.loads(path.read_text())
+    """models.json's entries sorted by id; ValueError naming the file on
+    malformed JSON, or the first entry with a missing field or a value of the
+    wrong type."""
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path.name}: {exc}") from exc
     if not isinstance(raw, list):
         raise ValueError(f"{path.name} is not a JSON array")
     models = []
@@ -429,8 +435,10 @@ def _load_models(path: Path) -> tuple[ModelInfo, ...]:
         for key in ("id", "name", "unit_price"):
             if not isinstance(entry, dict) or key not in entry:
                 raise ValueError(f'{path.name} entry {n} has no "{key}"')
+        if not _is_int(entry["id"]):
+            raise ValueError(f'{path.name} entry {n}: "id" is not an integer: {entry["id"]!r}')
         try:
-            models.append(ModelInfo(model_id=int(entry["id"]), name=str(entry["name"]),
+            models.append(ModelInfo(model_id=entry["id"], name=str(entry["name"]),
                                     unit_price=float(entry["unit_price"])))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path.name} entry {n}: {exc}") from exc

@@ -4,9 +4,20 @@ training-set evaluation and the oracle-noise sensitivity curve.
 A sweep routes every split query at each budget on a grid and records the
 mean realized performance and mean realized cost; realized costs are always
 the true costs, even when the budget filter ran on predicted costs, because
-deployment pays true prices. Aggregation uses numpy means in fixed index
-order (pairwise summation), so results are order-independent and
-reproducible.
+deployment pays true prices.
+
+The sweep builds the routing rule's prefix table (oracle.prefix_table) once
+and walks the grid in blocks of SWEEP_BLOCK budgets. Within a block, a
+query's count of affordable models at each budget is a sum of K comparisons
+against its filter-cost columns, its choice is the prefix table's entry for
+that count, and the block's means and call counts are reductions along the
+query axis of (block, N) arrays. The walk therefore holds O(SWEEP_BLOCK * N
++ N * K) memory and never an (N, G) array. Means sum pairwise in fixed query
+order, exactly as np.mean of one budget's values does, so results are
+reproducible bit for bit.
+
+The collapse report (rci) keeps its per-query values as numpy columns, which
+rci_detail.csv writes row by row.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from .rng import STREAM_NOISE, make_rng
 from .router import CostPredictorParams, Router, filter_costs, router_scores
 
 QNC_SENTINEL = "/"
+SWEEP_BLOCK = 8  # budgets decided per block of the grid walk
 
 
 @dataclass(frozen=True)
@@ -75,35 +87,81 @@ def sweep(
     cost_source: str = "oracle",
     cost_predictor: CostPredictorParams | None = None,
 ) -> SweepCurve:
-    """Route every split query at each budget. Scores, filter costs and the
-    rule's prefix table are computed once, since they do not depend on the
-    budget; each budget is then a lookup."""
+    """Route every split query at each budget of the grid in one walk.
+
+    Scores, filter costs and the rule's prefix table are computed once, since
+    they do not depend on the budget. The grid is then walked in blocks of
+    SWEEP_BLOCK budgets: a query's count of affordable models at each budget
+    of a block is summed over the K models' filter-cost columns, and the
+    choice is the prefix table's entry for that count, as in
+    PrefixTable.select: a NaN budget affords nothing, a NaN filter cost is
+    never affordable, and a query with nothing affordable clamps to its
+    cheapest model. Besides the
+    (N, K) tables the walk holds O(SWEEP_BLOCK * N) memory; no (N, G) array
+    is built. Points are sorted by (mean cost, budget), stably from grid
+    order.
+    """
     indices = np.asarray(indices, dtype=np.int64)
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("budget grid is empty")
     scores = router_scores(router, table, indices)
     fcosts = filter_costs(router, table, indices, cost_source, cost_predictor)
-    true_perf = table.perf[indices]
-    true_cost = table.cost[indices]
-    rows = np.arange(indices.size)
-    K = table.n_models
-    prefix = prefix_table(scores, fcosts)
+    choices = prefix_table(scores, fcosts).choices
+    del scores  # the walk needs only the choices and the filter costs
+    model_costs = np.ascontiguousarray(fcosts.T)  # (K, N): one row per model
+    del fcosts
+    N, K = choices.shape
+    G = grid.size
 
-    points = []
-    for budget in grid:
-        choices, clamped = prefix.select(budget)
-        points.append(
-            SweepPoint(
-                budget=float(budget),
-                mean_cost=float(np.mean(true_cost[rows, choices])),
-                mean_perf=float(np.mean(true_perf[rows, choices])),
-                calls=tuple(int(c) for c in np.bincount(choices, minlength=K)),
-                clamped=int(clamped.sum()),
-            )
-        )
+    flat_choices = choices.ravel()
+    perf_flat, cost_flat = table.perf.ravel(), table.cost.ravel()
+    choice_base = np.arange(N) * K - 1  # a row's flat index in choices, less one
+    row_base = indices * K  # a row's flat index in the table
+    width = min(SWEEP_BLOCK, G)
+    block_base = (np.arange(width) * K)[:, None]  # a budget's first bincount bin
+    buffers = (
+        np.empty((width, N), dtype=np.min_scalar_type(K)),
+        np.empty((width, N), dtype=bool),
+        np.empty((width, N), dtype=np.intp),
+        np.empty((width, N), dtype=np.intp),
+        np.empty((width, N)),
+    )
+    mean_cost, mean_perf = np.empty(G), np.empty(G)
+    calls = np.empty((G, K), dtype=np.int64)
+    clamped = np.empty(G, dtype=np.int64)
+    for start in range(0, G, width):
+        block = slice(start, min(start + width, G))
+        budgets = grid[block, None]
+        b = budgets.shape[0]
+        count, affordable, model, index, values = (buf[:b] for buf in buffers)
+        count.fill(0)
+        for k in range(K):
+            # NaN compares false, so a NaN budget or filter cost affords nothing
+            np.less_equal(model_costs[k], budgets, out=affordable)
+            np.add(count, affordable.view(np.uint8), out=count)
+        clamped[block] = N - np.count_nonzero(count, axis=1)
+        # a count of 0 clamps to column 0, the cheapest model
+        np.maximum(count, 1, out=count)
+        np.add(count, choice_base, out=index)
+        np.take(flat_choices, index, out=model, mode="clip")
+        np.add(model, block_base[:b], out=index)
+        calls[block] = np.bincount(index.ravel(), minlength=b * K).reshape(b, K)
+        np.add(model, row_base, out=index)
+        # a mean along the contiguous query axis sums pairwise, as np.mean
+        # of one budget's (N,) values does, so the bits are the same
+        np.take(cost_flat, index, out=values, mode="clip")
+        mean_cost[block] = values.mean(axis=1)
+        np.take(perf_flat, index, out=values, mode="clip")
+        mean_perf[block] = values.mean(axis=1)
+
+    points = [
+        SweepPoint(budget=g, mean_cost=mc, mean_perf=mp, calls=tuple(cl), clamped=cd)
+        for g, mc, mp, cl, cd in zip(grid.tolist(), mean_cost.tolist(),
+                                     mean_perf.tolist(), calls.tolist(), clamped.tolist())
+    ]
     points.sort(key=lambda p: (p.mean_cost, p.budget))
-    return SweepCurve(points=tuple(points), unlimited_choices=prefix.choices[:, -1])
+    return SweepCurve(points=tuple(points), unlimited_choices=choices[:, -1])
 
 
 def _as_xy(curve) -> tuple[np.ndarray, np.ndarray]:
@@ -185,20 +243,18 @@ def qnc(curve, table: RoutingTable, indices: Sequence[int]) -> tuple[float | Non
 # routing collapse index
 
 
-@dataclass(frozen=True)
-class CollapseRecord:
-    n: int  # query index in the table
-    m_n: int  # selected model
-    a_selected: float
-    a_star: float
-    x_n: int  # strictly cheaper models
-    k_n: int  # strictly cheaper models matching or beating the selection
-    s_n: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollapseReport:
-    records: tuple[CollapseRecord, ...]
+    """Per-query collapse columns in split order, their mean and the
+    selections' call shares."""
+
+    n: np.ndarray  # query index in the table
+    m_n: np.ndarray  # selected model
+    a_sel: np.ndarray  # selected model's performance
+    a_star: np.ndarray  # best performance in the pool
+    x_n: np.ndarray  # strictly cheaper models
+    k_n: np.ndarray  # strictly cheaper models matching or beating the selection
+    s_n: np.ndarray  # per-query collapse score
     rci: float
     call_rates: tuple[float, ...]
 
@@ -206,7 +262,7 @@ class CollapseReport:
 def rci(
     table: RoutingTable, selections: Sequence[int], indices: Sequence[int]
 ) -> CollapseReport:
-    """Mean per-query collapse score.
+    """Per-query collapse scores as columns, and their mean.
 
     Per query: a_star is the best performance over the full pool; S_n the
     models strictly cheaper than the selection. The score is 1 when the
@@ -231,15 +287,14 @@ def rci(
     cheaper = cost < cost[rows, selections][:, None]
     x_n = cheaper.sum(axis=1)
     k_n = (cheaper & (perf >= a_sel[:, None])).sum(axis=1)
-    scores = np.where(
+    s_n = np.where(
         a_sel < a_star, 1.0, np.where(x_n > 0, k_n / np.maximum(x_n, 1), 0.0)
     )
-    columns = (indices, selections, a_sel, a_star, x_n, k_n, scores)
-    records = tuple(map(CollapseRecord, *(c.tolist() for c in columns)))
     rates = np.bincount(selections, minlength=K) / max(selections.size, 1)
     return CollapseReport(
-        records=records,
-        rci=float(scores.mean()) if scores.size else 0.0,
+        n=indices.copy(), m_n=selections.copy(), a_sel=a_sel, a_star=a_star,
+        x_n=x_n, k_n=k_n, s_n=s_n,
+        rci=float(s_n.mean()) if s_n.size else 0.0,
         call_rates=tuple(float(r) for r in rates),
     )
 
@@ -414,10 +469,11 @@ def write_rci_csv(report: CollapseReport, path: Path | str) -> None:
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "m_n", "a_sel", "a_star", "x_n", "k_n", "s_n"])
-        for r in report.records:
-            w.writerow(
-                [r.n, r.m_n, repr(r.a_selected), repr(r.a_star), r.x_n, r.k_n, repr(r.s_n)]
-            )
+        w.writerows(zip(
+            report.n.tolist(), report.m_n.tolist(), map(repr, report.a_sel.tolist()),
+            map(repr, report.a_star.tolist()), report.x_n.tolist(), report.k_n.tolist(),
+            map(repr, report.s_n.tolist()),
+        ))
 
 
 def write_noise_csv(rows: Sequence[NoiseRow], path: Path | str) -> None:

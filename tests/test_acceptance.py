@@ -168,9 +168,7 @@ def test_criterion_03_rci_oracle():
         picks = rng.integers(0, k, size=n)
         got = ev.rci(table, picks, np.arange(n))
         want = [brute_force(perf[i], cost[i], picks[i]) for i in range(n)]
-        if got.rci != pytest.approx(np.mean(want), abs=0) or any(
-            r.s_n != w for r, w in zip(got.records, want)
-        ):
+        if got.rci != pytest.approx(np.mean(want), abs=0) or got.s_n.tolist() != want:
             exact = False
             break
 

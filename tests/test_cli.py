@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -366,6 +367,34 @@ def test_split_that_does_not_cover_the_table_is_rejected(
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "models_text, error",
+    [
+        pytest.param('[{"id": 0, "name": "a", "unit_price": 1.0}, '
+                     '{"id": 1.5, "name": "b", "unit_price": 2.0}]',
+                     'error: invalid table: models.json entry 1: "id" is not an integer: 1.5',
+                     id="fractional-id"),
+        pytest.param('[{"id": 0, "name": "a", "unit_price": 1.0}, '
+                     '{"id": 1, "name": "b", "unit_price": Infinity}]',
+                     "error: invalid table: non-finite unit_price for model 1",
+                     id="infinite-price"),
+        pytest.param("[{bad", "error: invalid table: models.json: Expecting property name",
+                     id="bad-json"),
+    ],
+)
+def test_malformed_models_json_exits_1_before_any_write(tmp_path, capsys, models_text, error):
+    table = generate_synthetic(SynthConfig(n_queries=60, n_models=2, embed_dim=4, noise_seed=0))
+    tdir = tmp_path / "table"
+    save_table(table, tdir)
+    (tdir / "models.json").write_text(models_text)
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, "router = oracle\ngrid_points = 10\n", table=tdir, out=out)
+    assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(error), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sweep", "diagnose", "pipeline"])
 @pytest.mark.parametrize("router", ["oracle", "equirouter"])
 def test_empty_test_split_is_rejected_before_any_write(tmp_path, capsys, command, router):
@@ -718,3 +747,84 @@ def test_experiment_scripts_pin_blas_threads(script):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split() == ["1", "1", "1"]
+
+
+# ---------------------------------------------------------------------------
+# output_matrix.py --base: identity against a git revision
+
+
+def _load_output_matrix():
+    path = Path(__file__).parents[1] / "scripts" / "output_matrix.py"
+    spec = importlib.util.spec_from_file_location("output_matrix", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _two_commit_repo(root, first, second):
+    """A git repository whose src/value.txt holds `first` in HEAD~1 and
+    `second` in HEAD, the working tree's."""
+    def git(*args):
+        subprocess.run(["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    (root / "src").mkdir(parents=True)
+    git("init", "-q")
+    for text in (first, second):
+        (root / "src" / "value.txt").write_text(text)
+        git("add", "-A")
+        git("commit", "-q", "--allow-empty", "-m", text)
+    return root
+
+
+def _copy_matrix(out, tree):
+    """A one-step matrix: the tree's src/value.txt into OUT/step/; a tree
+    holding "broken" cannot run the step."""
+    (out / "step").mkdir(parents=True)
+    text = (tree / "src" / "value.txt").read_text()
+    (out / "step" / "value.txt").write_text(text)
+    return ["step exited 2"] if text == "broken\n" else []
+
+
+@pytest.mark.parametrize(
+    "second, expect, wrong, printed",
+    [
+        pytest.param("a\n", [], [], [], id="identical"),
+        pytest.param("b\n", [], ["step/value.txt differs from the base"],
+                     ["differs: step/value.txt"], id="one-byte"),
+        pytest.param("b\n", ["*/value.txt"], [], ["differs (expected): step/value.txt"],
+                     id="expected"),
+    ],
+)
+def test_output_matrix_compares_with_a_base_revision(
+    tmp_path, monkeypatch, capsys, second, expect, wrong, printed
+):
+    om = _load_output_matrix()
+    monkeypatch.setattr(om, "run_matrix", _copy_matrix)
+    repo = _two_commit_repo(tmp_path / "repo", "a\n", second)
+    assert om.compare_with_base(tmp_path / "out", "HEAD~1", expect, repo) == wrong
+    assert capsys.readouterr().out.splitlines() == printed
+    # the worktree is gone again, from the disk and from git's list
+    assert list((repo / ".perfbench-work").iterdir()) == []
+    listed = subprocess.run(["git", "-C", str(repo), "worktree", "list"],
+                            capture_output=True, text=True, check=True).stdout
+    assert len(listed.splitlines()) == 1
+
+
+def test_output_matrix_names_a_step_the_base_cannot_run(tmp_path, monkeypatch, capsys):
+    om = _load_output_matrix()
+    monkeypatch.setattr(om, "run_matrix", _copy_matrix)
+    repo = _two_commit_repo(tmp_path / "repo", "broken\n", "a\n")
+    assert om.compare_with_base(tmp_path / "out", "HEAD~1", [], repo) == [
+        "step/value.txt differs from the base"]
+    assert capsys.readouterr().out.splitlines() == [
+        "base HEAD~1: step exited 2", "differs: step/value.txt"]
+
+
+def test_output_matrix_refuses_an_unknown_base_revision(tmp_path, monkeypatch):
+    om = _load_output_matrix()
+    monkeypatch.setattr(om, "run_matrix", _copy_matrix)
+    repo = _two_commit_repo(tmp_path / "repo", "a\n", "a\n")
+    with pytest.raises(SystemExit, match="cannot check out 'no-such-rev'"):
+        om.compare_with_base(tmp_path / "out", "no-such-rev", [], repo)
+    assert list((repo / ".perfbench-work").iterdir()) == []

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import shutil
 import sys
 import tempfile
@@ -194,6 +195,54 @@ def test_load_error_messages(tmp_path, small_synth, name, row, edit, error):
     with pytest.raises(ValueError) as info:
         load_table(tmp_path / "t")
     assert str(info.value) == error
+
+
+def _edit_model(key, value):
+    """An edit of models.json's text that sets entry 1's `key` to `value`."""
+    def edit(text):
+        models = json.loads(text)
+        models[1][key] = value
+        return json.dumps(models)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        pytest.param(_edit_model("id", 1.5),
+                     'models.json entry 1: "id" is not an integer: 1.5', id="fractional-id"),
+        pytest.param(_edit_model("id", 1.0),
+                     'models.json entry 1: "id" is not an integer: 1.0', id="float-id"),
+        pytest.param(_edit_model("id", True),
+                     'models.json entry 1: "id" is not an integer: True', id="boolean-id"),
+        pytest.param(_edit_model("id", "1"),
+                     """models.json entry 1: "id" is not an integer: '1'""", id="string-id"),
+        pytest.param(_edit_model("unit_price", math.inf),
+                     "non-finite unit_price for model 1", id="infinite-price"),
+        pytest.param(_edit_model("unit_price", math.nan),
+                     "non-finite unit_price for model 1", id="nan-price"),
+        pytest.param(_edit_model("unit_price", -1.0),
+                     "negative unit_price for model 1", id="negative-price"),
+        pytest.param(lambda text: "[{bad",
+                     "models.json: Expecting property name enclosed in double quotes: "
+                     "line 1 column 3 (char 2)", id="bad-json"),
+    ],
+)
+def test_malformed_models_json_is_rejected(tmp_path, small_synth, edit, error):
+    save_table(small_synth, tmp_path / "t")
+    path = tmp_path / "t" / "models.json"
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ValueError) as info:
+        load_table(tmp_path / "t")
+    assert str(info.value) == error
+
+
+@pytest.mark.parametrize("price", [math.inf, -math.inf, math.nan])
+def test_nonfinite_unit_price_is_named_non_finite(small_synth, price):
+    models = list(small_synth.models)
+    models[1] = replace(models[1], unit_price=price)
+    with pytest.raises(ValueError, match="non-finite unit_price for model 1"):
+        replace(small_synth, models=tuple(models))
 
 
 # ---------------------------------------------------------------------------

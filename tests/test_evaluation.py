@@ -1,9 +1,15 @@
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equirouter import evaluation as evaluation_module
 from equirouter.dataset import SynthConfig, generate_synthetic, make_split
 from equirouter.evaluation import (
-    CollapseRecord,
     SweepCurve,
     SweepPoint,
     budget_grid,
@@ -19,7 +25,7 @@ from equirouter.evaluation import (
     sweep,
     training_set_eval,
 )
-from equirouter.oracle import select_under_budget_batch
+from equirouter.oracle import prefix_table, select_under_budget_batch
 from equirouter.router import OracleRouter, train_knn_router
 
 from conftest import constant_policy_router, make_table
@@ -112,6 +118,104 @@ def test_sweep_realized_cost_uses_true_costs():
     assert curve.points[0].mean_cost == pytest.approx(2.0)  # true cost of model 1
 
 
+def _reference_sweep(scores, fcosts, table, indices, grid):
+    """The specification of sweep: one PrefixTable.select per budget, each
+    point's means taken by np.mean over that budget's (N,) values."""
+    prefix = prefix_table(scores, fcosts)
+    rows = np.arange(len(indices))
+    points = []
+    for budget in grid:
+        choices, clamped = prefix.select(budget)
+        points.append(SweepPoint(
+            budget=float(budget),
+            mean_cost=float(np.mean(table.cost[indices][rows, choices])),
+            mean_perf=float(np.mean(table.perf[indices][rows, choices])),
+            calls=tuple(int(c) for c in np.bincount(choices, minlength=table.n_models)),
+            clamped=int(clamped.sum()),
+        ))
+    points.sort(key=lambda p: (p.mean_cost, p.budget))
+    return points, prefix.choices[:, -1]
+
+
+def _sweep_drawn(scores, fcosts, table, indices, grid):
+    """sweep with the router's scores and filter costs replaced by drawn ones."""
+    with mock.patch.object(evaluation_module, "router_scores", lambda *a: scores.copy()), \
+            mock.patch.object(evaluation_module, "filter_costs", lambda *a: fcosts.copy()):
+        return sweep(OracleRouter(), table, indices, grid)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 300),
+    k=st.integers(2, 8),
+    seed=st.integers(0, 2**16),
+    nan_costs=st.booleans(),
+    n_budgets=st.integers(1, 30),
+    specials=st.lists(st.sampled_from([math.nan, math.inf, -math.inf, 0.0]), max_size=4),
+)
+def test_sweep_matches_per_budget_reference(n, k, seed, nan_costs, n_budgets, specials):
+    rng = np.random.Generator(np.random.Philox(seed))
+    scores = np.round(rng.random((n, k)), 1)  # frequent score ties
+    fcosts = np.round(rng.random((n, k)) * 3, 0) + 0.1  # frequent cost ties
+    if nan_costs:  # a cost predictor's output may hold NaN
+        fcosts[rng.random((n, k)) < 0.2] = np.nan
+    # the split is a shuffled subset of a larger table
+    t = make_table(perf=np.round(rng.random((n + 3, k)), 2), cost=rng.random((n + 3, k)) + 0.1)
+    indices = rng.permutation(n + 3)[:n]
+    # budgets equal to filter costs and between them, NaN and infinite ones,
+    # repeated and unsorted; up to 3 * 30 + 4 budgets span many blocks
+    grid = np.concatenate([rng.choice(fcosts.ravel(), n_budgets), rng.random(n_budgets) * 3.5,
+                           specials])
+    grid = np.concatenate([grid, grid[: n_budgets]])
+    rng.shuffle(grid)
+    curve = _sweep_drawn(scores, fcosts, t, indices, grid)
+    want, unlimited = _reference_sweep(scores, fcosts, t, indices, grid)
+    # repr tells apart what == cannot: NaN budgets and the bits of each float
+    assert list(map(repr, curve.points)) == list(map(repr, want))
+    assert np.array_equal(curve.unlimited_choices, unlimited)
+    if not any(math.isnan(b) for b in grid):
+        assert list(curve.points) == want
+
+
+def test_sweep_matches_reference_with_more_than_255_models():
+    # the affordable-model count outgrows one byte
+    rng = np.random.Generator(np.random.Philox(5))
+    n, k = 6, 300
+    scores, fcosts = np.round(rng.random((n, k)), 1), np.round(rng.random((n, k)) * 9, 0)
+    t = make_table(perf=rng.random((n, k)), cost=rng.random((n, k)))
+    grid = np.array([-1.0, 0.0, 4.0, 9.0, math.inf, 2.5])
+    curve = _sweep_drawn(scores, fcosts, t, np.arange(n), grid)
+    want, unlimited = _reference_sweep(scores, fcosts, t, np.arange(n), grid)
+    assert list(curve.points) == want
+    assert np.array_equal(curve.unlimited_choices, unlimited)
+    assert max(p.clamped for p in curve.points) == n
+
+
+def test_sweep_memory_flat_in_grid_size():
+    # k11-large's test split (N=10 000, K=11): besides a few (N, K) tables
+    # the sweep holds blocks of SWEEP_BLOCK budgets, never an (N, G) array
+    t = generate_synthetic(
+        SynthConfig(n_queries=10_000, n_models=11, embed_dim=4, tie_fraction=0.5, noise_seed=1)
+    )
+    idx = np.arange(t.n_queries)
+
+    def peak(n_points):
+        grid = budget_grid(t, idx, n_points)
+        tracemalloc.start()
+        try:
+            sweep(OracleRouter(), t, idx, grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    nk = t.perf.nbytes  # one (N, K) float64 table, 0.88 MB
+    at_100 = peak(100)
+    # the per-budget loop this walk replaced peaked at 10.4 tables
+    assert at_100 <= 9 * nk
+    # an (N, 1000) boolean array alone would be 10 MB
+    assert peak(1000) <= at_100 + nk // 2
+
+
 # ---------------------------------------------------------------------------
 # nAUC / peak / QNC
 
@@ -192,26 +296,25 @@ def cheap_mid_costly():
 def test_rci_missed_cheaper_equivalent():
     t = make_table(perf=[[1.0, 1.0, 1.0]], cost=[cheap_mid_costly()])
     report = rci(t, selections=[2], indices=[0])
-    assert report.records[0].s_n == 1.0 and report.rci == 1.0
+    assert report.s_n.tolist() == [1.0] and report.rci == 1.0
 
 
 def test_rci_dominated_by_cheaper_better():
     t = make_table(perf=[[0.0, 1.0, 0.0]], cost=[cheap_mid_costly()])
     report = rci(t, selections=[2], indices=[0])
-    assert report.records[0].s_n == 1.0
+    assert report.s_n.tolist() == [1.0]
 
 
 def test_rci_optimal_pick_with_worse_cheaper():
     t = make_table(perf=[[0.0, 1.0, 0.0]], cost=[cheap_mid_costly()])
     report = rci(t, selections=[1], indices=[0])
-    r = report.records[0]
-    assert (r.x_n, r.k_n, r.s_n) == (1, 0, 0.0)
+    assert (report.x_n.tolist(), report.k_n.tolist(), report.s_n.tolist()) == ([1], [0], [0.0])
 
 
 def test_rci_cheapest_optimum_boundary():
     t = make_table(perf=[[1.0, 1.0, 0.5]], cost=[cheap_mid_costly()])
     report = rci(t, selections=[0], indices=[0])
-    assert report.records[0].x_n == 0 and report.records[0].s_n == 0.0
+    assert report.x_n.tolist() == [0] and report.s_n.tolist() == [0.0]
 
 
 def test_rci_oracle_is_zero_without_cost_ties(small_synth):
@@ -245,7 +348,8 @@ def test_rci_rejects_out_of_range_selection():
 
 
 def _brute_force_rci(table, selections, indices):
-    """Per-query records by direct enumeration, and their mean score."""
+    """Per-query (n, m_n, a_sel, a_star, x_n, k_n, s_n) rows by direct
+    enumeration, and their mean score."""
     records = []
     for n, m in zip(indices, selections):
         a = table.perf[n].tolist()
@@ -259,8 +363,8 @@ def _brute_force_rci(table, selections, indices):
             s = k_n / len(cheaper)
         else:
             s = 0.0
-        records.append(CollapseRecord(int(n), int(m), a[m], a_star, len(cheaper), k_n, s))
-    return tuple(records), float(np.mean([r.s_n for r in records]))
+        records.append((int(n), int(m), a[m], a_star, len(cheaper), k_n, s))
+    return records, float(np.mean([r[-1] for r in records]))
 
 
 def test_rci_matches_brute_force_random():
@@ -276,12 +380,13 @@ def test_rci_matches_brute_force_random():
         idx = np.arange(n)
         report = rci(t, picks, idx)
         want_records, want_rci = _brute_force_rci(t, picks, idx)
+        columns = (report.n, report.m_n, report.a_sel, report.a_star, report.x_n,
+                   report.k_n, report.s_n)
+        got_records = list(zip(*(c.tolist() for c in columns)))
         assert report.rci == want_rci
-        assert report.records == want_records
-        for got, want in zip(report.records, want_records):
-            assert [type(v) for v in vars(got).values()] == [
-                type(v) for v in vars(want).values()
-            ]
+        assert got_records == want_records
+        for got, want in zip(got_records, want_records):
+            assert list(map(type, got)) == list(map(type, want))
 
 
 # ---------------------------------------------------------------------------
