@@ -301,7 +301,7 @@ def _load_checked(path: Path | str, tag: str, table: RoutingTable, split: SplitI
     table or, for kNN, trained on other rows than the run's training split."""
     try:
         model = rt.load_router(path)
-    except ValueError as exc:
+    except (ValueError, IsADirectoryError) as exc:
         raise ConfigError(f"checkpoint {path}: {exc}") from exc
     if model.tag != tag:
         raise ConfigError(f"checkpoint {path} holds router_type {model.tag!r}, expected {tag!r}")

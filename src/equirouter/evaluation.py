@@ -7,14 +7,13 @@ the true costs, even when the budget filter ran on predicted costs, because
 deployment pays true prices.
 
 The sweep builds the routing rule's prefix table (oracle.prefix_table) once
-and walks the grid in blocks of SWEEP_BLOCK budgets. Within a block, a
-query's count of affordable models at each budget is a sum of K comparisons
-against its filter-cost columns, its choice is the prefix table's entry for
-that count, and the block's means and call counts are reductions along the
-query axis of (block, N) arrays. The walk therefore holds O(SWEEP_BLOCK * N
-+ N * K) memory and never an (N, G) array. Means sum pairwise in fixed query
-order, exactly as np.mean of one budget's values does, so results are
-reproducible bit for bit.
+and walks the grid in blocks of SWEEP_BLOCK budgets. PrefixTable.select
+decides a whole block, (block, N) choices at once; the sweep keeps only each
+budget's call counts and its means, reductions along the query axis. The walk
+therefore holds O(SWEEP_BLOCK * N + N * K) memory and never an (N, G) array.
+Means sum pairwise in fixed query order, exactly as np.mean of one budget's
+values does, so results are reproducible bit for bit. The curve (SweepCurve)
+is columns, one entry per budget, and curve.csv writes them row by row.
 
 The collapse report (rci) keeps its per-query values as numpy columns, which
 rci_detail.csv writes row by row.
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -39,28 +38,28 @@ QNC_SENTINEL = "/"
 SWEEP_BLOCK = 8  # budgets decided per block of the grid walk
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    budget: float
-    mean_cost: float
-    mean_perf: float
-    calls: tuple[int, ...]  # selections per model at this budget
-    clamped: int  # queries whose feasible set needed the cheapest-model fallback
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepCurve:
-    """Points of one budget sweep, sorted by mean realized cost, and the
-    router's per-query choices with every model affordable (None for a
-    curve built by hand)."""
+    """One budget sweep as columns, one entry per grid budget, sorted by
+    (mean realized cost, budget), and the router's per-query choices with
+    every model affordable."""
 
-    points: tuple[SweepPoint, ...]
-    unlimited_choices: np.ndarray | None = field(default=None, compare=False)
+    budget: np.ndarray  # (G,)
+    mean_cost: np.ndarray  # (G,)
+    mean_perf: np.ndarray  # (G,)
+    calls: np.ndarray  # (G, K): selections per model at each budget
+    clamped: np.ndarray  # (G,): queries whose feasible set needed the cheapest-model fallback
+    unlimited_choices: np.ndarray  # (N,)
 
     def __post_init__(self):
-        xs = [p.mean_cost for p in self.points]
-        if any(xs[i] > xs[i + 1] for i in range(len(xs) - 1)):
+        if np.any(self.mean_cost[:-1] > self.mean_cost[1:]):
             raise ValueError("sweep points must be sorted by mean cost")
+
+    def __eq__(self, other):
+        """Equal columns, compared exactly; a NaN budget equals nothing."""
+        return isinstance(other, SweepCurve) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
 
 def budget_grid(
@@ -91,85 +90,53 @@ def sweep(
 
     Scores, filter costs and the rule's prefix table are computed once, since
     they do not depend on the budget. The grid is then walked in blocks of
-    SWEEP_BLOCK budgets: a query's count of affordable models at each budget
-    of a block is summed over the K models' filter-cost columns, and the
-    choice is the prefix table's entry for that count, as in
-    PrefixTable.select: a NaN budget affords nothing, a NaN filter cost is
-    never affordable, and a query with nothing affordable clamps to its
-    cheapest model. Besides the
-    (N, K) tables the walk holds O(SWEEP_BLOCK * N) memory; no (N, G) array
-    is built. Points are sorted by (mean cost, budget), stably from grid
-    order.
+    SWEEP_BLOCK budgets, each decided by one PrefixTable.select; a block keeps
+    only its call counts and its two means. Besides the (N, K) tables the walk
+    holds O(SWEEP_BLOCK * N) memory; no (N, G) array is built. The columns
+    are sorted by (mean cost, budget), stably from grid order.
     """
     indices = np.asarray(indices, dtype=np.int64)
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("budget grid is empty")
-    scores = router_scores(router, table, indices)
-    fcosts = filter_costs(router, table, indices, cost_source, cost_predictor)
-    choices = prefix_table(scores, fcosts).choices
-    del scores  # the walk needs only the choices and the filter costs
-    model_costs = np.ascontiguousarray(fcosts.T)  # (K, N): one row per model
-    del fcosts
-    N, K = choices.shape
+    prefix = prefix_table(
+        router_scores(router, table, indices),
+        filter_costs(router, table, indices, cost_source, cost_predictor),
+    )
+    K = prefix.choices.shape[1]
     G = grid.size
 
-    flat_choices = choices.ravel()
     perf_flat, cost_flat = table.perf.ravel(), table.cost.ravel()
-    choice_base = np.arange(N) * K - 1  # a row's flat index in choices, less one
     row_base = indices * K  # a row's flat index in the table
-    width = min(SWEEP_BLOCK, G)
-    block_base = (np.arange(width) * K)[:, None]  # a budget's first bincount bin
-    buffers = (
-        np.empty((width, N), dtype=np.min_scalar_type(K)),
-        np.empty((width, N), dtype=bool),
-        np.empty((width, N), dtype=np.intp),
-        np.empty((width, N), dtype=np.intp),
-        np.empty((width, N)),
-    )
     mean_cost, mean_perf = np.empty(G), np.empty(G)
     calls = np.empty((G, K), dtype=np.int64)
     clamped = np.empty(G, dtype=np.int64)
-    for start in range(0, G, width):
-        block = slice(start, min(start + width, G))
-        budgets = grid[block, None]
-        b = budgets.shape[0]
-        count, affordable, model, index, values = (buf[:b] for buf in buffers)
-        count.fill(0)
-        for k in range(K):
-            # NaN compares false, so a NaN budget or filter cost affords nothing
-            np.less_equal(model_costs[k], budgets, out=affordable)
-            np.add(count, affordable.view(np.uint8), out=count)
-        clamped[block] = N - np.count_nonzero(count, axis=1)
-        # a count of 0 clamps to column 0, the cheapest model
-        np.maximum(count, 1, out=count)
-        np.add(count, choice_base, out=index)
-        np.take(flat_choices, index, out=model, mode="clip")
-        np.add(model, block_base[:b], out=index)
-        calls[block] = np.bincount(index.ravel(), minlength=b * K).reshape(b, K)
-        np.add(model, row_base, out=index)
+    for start in range(0, G, SWEEP_BLOCK):
+        block = slice(start, start + SWEEP_BLOCK)
+        model, clamp = prefix.select(grid[block])
+        b = model.shape[0]
+        # budget i's calls fill bins i * K to i * K + K - 1
+        bins = model + (np.arange(b) * K)[:, None]
+        calls[block] = np.bincount(bins.ravel(), minlength=b * K).reshape(b, K)
+        clamped[block] = np.count_nonzero(clamp, axis=1)
+        model += row_base  # each choice's flat index in the table
         # a mean along the contiguous query axis sums pairwise, as np.mean
         # of one budget's (N,) values does, so the bits are the same
-        np.take(cost_flat, index, out=values, mode="clip")
-        mean_cost[block] = values.mean(axis=1)
-        np.take(perf_flat, index, out=values, mode="clip")
-        mean_perf[block] = values.mean(axis=1)
+        mean_cost[block] = np.take(cost_flat, model, mode="clip").mean(axis=1)
+        mean_perf[block] = np.take(perf_flat, model, mode="clip").mean(axis=1)
 
-    points = [
-        SweepPoint(budget=g, mean_cost=mc, mean_perf=mp, calls=tuple(cl), clamped=cd)
-        for g, mc, mp, cl, cd in zip(grid.tolist(), mean_cost.tolist(),
-                                     mean_perf.tolist(), calls.tolist(), clamped.tolist())
-    ]
-    points.sort(key=lambda p: (p.mean_cost, p.budget))
-    return SweepCurve(points=tuple(points), unlimited_choices=choices[:, -1])
+    costs, budgets = mean_cost.tolist(), grid.tolist()
+    order = sorted(range(G), key=lambda g: (costs[g], budgets[g]))
+    return SweepCurve(
+        budget=grid[order], mean_cost=mean_cost[order], mean_perf=mean_perf[order],
+        calls=calls[order], clamped=clamped[order], unlimited_choices=prefix.choices[:, -1],
+    )
 
 
 def _as_xy(curve) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(curve, SweepCurve):
-        pts = [(p.mean_cost, p.mean_perf) for p in curve.points]
-    else:
-        pts = [(float(x), float(y)) for x, y in curve]
-    pts.sort(key=lambda t: t[0])
+        return curve.mean_cost, curve.mean_perf
+    pts = sorted(((float(x), float(y)) for x, y in curve), key=lambda t: t[0])
     xs = np.array([x for x, _ in pts])
     ys = np.array([y for _, y in pts])
     return xs, ys
@@ -178,14 +145,10 @@ def _as_xy(curve) -> tuple[np.ndarray, np.ndarray]:
 def _merge_equal_cost(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge points with identical mean cost, keeping the max performance;
     zero-width segments would otherwise make the integral ill-defined."""
-    out_x, out_y = [], []
-    for x, y in zip(xs, ys):
-        if out_x and x == out_x[-1]:
-            out_y[-1] = max(out_y[-1], y)
-        else:
-            out_x.append(x)
-            out_y.append(y)
-    return np.array(out_x), np.array(out_y)
+    if xs.size == 0:
+        return xs, ys
+    starts = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]]))
+    return xs[starts], np.maximum.reduceat(ys, starts)
 
 
 def nauc(curve) -> float:
@@ -299,13 +262,13 @@ def rci(
     )
 
 
-def call_rate_curve(curve: SweepCurve) -> list[tuple[float, tuple[float, ...]]]:
-    """Per-budget per-model call shares (each row sums to 1), budget order."""
-    rows = []
-    for p in sorted(curve.points, key=lambda p: p.budget):
-        total = sum(p.calls)
-        rows.append((p.budget, tuple(c / total for c in p.calls)))
-    return rows
+def call_rate_curve(curve: SweepCurve) -> tuple[np.ndarray, np.ndarray]:
+    """(budgets, shares): the sweep's budgets in ascending order, (G,), and
+    each budget's per-model call shares, (G, K), every row summing to 1."""
+    budgets = curve.budget.tolist()
+    order = sorted(range(len(budgets)), key=budgets.__getitem__)
+    calls = curve.calls[order]
+    return curve.budget[order], calls / calls.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +301,6 @@ def metrics_summary(
     q_abs, q_rel = qnc_from_curve(curve, a_max, x_max)
     ps, pc = peak_score(curve)
     if collapse is None:
-        if curve.unlimited_choices is None:
-            raise ValueError("curve has no unlimited-budget choices; make it with sweep()")
         collapse = rci(table, curve.unlimited_choices, indices)
     return MetricsSummary(
         nauc=nauc(curve),
@@ -407,8 +368,8 @@ def noise_sensitivity(
 
     out = []
     for i, sigma in enumerate(sigmas):
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (np.isfinite(sigma) and sigma >= 0):
+            raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
         noisy = perf
         if sigma > 0:
             rng = make_rng(seed, STREAM_NOISE, i)
@@ -429,7 +390,7 @@ def noise_sensitivity(
 
 
 def write_curve_csv(curve: SweepCurve, path: Path | str) -> None:
-    K = len(curve.points[0].calls)
+    K = curve.calls.shape[1]
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(
@@ -437,12 +398,11 @@ def write_curve_csv(curve: SweepCurve, path: Path | str) -> None:
             + [f"calls_model_{j}" for j in range(K)]
             + ["clamped"]
         )
-        for p in curve.points:
-            w.writerow(
-                [repr(p.budget), repr(p.mean_cost), repr(p.mean_perf)]
-                + list(p.calls)
-                + [p.clamped]
-            )
+        for budget, cost, perf, calls, clamped in zip(
+            curve.budget.tolist(), curve.mean_cost.tolist(), curve.mean_perf.tolist(),
+            curve.calls.tolist(), curve.clamped.tolist(),
+        ):
+            w.writerow([repr(budget), repr(cost), repr(perf)] + calls + [clamped])
 
 
 def metrics_to_dict(summary: MetricsSummary) -> dict:
@@ -484,12 +444,10 @@ def write_noise_csv(rows: Sequence[NoiseRow], path: Path | str) -> None:
             w.writerow([repr(r.sigma), repr(r.accuracy), repr(r.strongest_share)])
 
 
-def write_callrates_csv(
-    rates: Sequence[tuple[float, tuple[float, ...]]], path: Path | str
-) -> None:
-    K = len(rates[0][1])
+def write_callrates_csv(rates: tuple[np.ndarray, np.ndarray], path: Path | str) -> None:
+    budgets, shares = rates
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["budget"] + [f"share_model_{j}" for j in range(K)])
-        for budget, shares in rates:
-            w.writerow([repr(budget)] + [repr(s) for s in shares])
+        w.writerow(["budget"] + [f"share_model_{j}" for j in range(shares.shape[1])])
+        for budget, row in zip(budgets.tolist(), shares.tolist()):
+            w.writerow([repr(budget)] + [repr(s) for s in row])

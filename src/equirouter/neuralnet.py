@@ -276,7 +276,7 @@ def save_checkpoint(
 
 def load_checkpoint(path: Path | str) -> tuple[dict, list[np.ndarray]]:
     """(header, arrays) of a save_checkpoint file; ValueError if it is not
-    one or is cut short."""
+    one, is cut short or its header lacks valid array shapes."""
     with Path(path).open("rb") as fh:
         if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
@@ -286,8 +286,13 @@ def load_checkpoint(path: Path | str) -> tuple[dict, list[np.ndarray]]:
         if len(blob) != hlen:
             raise ValueError(f"{path}: truncated checkpoint")
         header = json.loads(blob.decode("utf-8"))
+        shapes = header.get("shapes") if isinstance(header, dict) else None
+        if not isinstance(shapes, list) or not all(
+            isinstance(s, list) and all(type(d) is int and d >= 0 for d in s) for s in shapes
+        ):
+            raise ValueError(f"{path}: checkpoint header field 'shapes' is missing or malformed")
         params = []
-        for shape in header["shapes"]:
+        for shape in shapes:
             count = int(np.prod(shape)) if shape else 1
             arr = np.fromfile(fh, dtype="<f8", count=count)
             if arr.size != count:

@@ -13,8 +13,11 @@ first maximum score of the prefix is the (max score, min cost, min index)
 choice, and the clamped fallback, the cheapest model with the lowest index,
 is the first model of the order. A running argmax gives the choice for every
 prefix length at once (`prefix_table`); any budget is then a count of
-affordable models and a lookup (`PrefixTable.select`). The rule only
-compares and gathers, so it is exact: no arithmetic touches a score or cost.
+affordable models and a lookup. `PrefixTable.select` decides one budget or a
+block of budgets at once, summing each model's row of filter-cost
+comparisons, so the affordable count, the NaN rule and the clamp are written
+only there. The rule only compares and gathers, so it is exact: no
+arithmetic touches a score or cost.
 """
 
 from __future__ import annotations
@@ -84,16 +87,24 @@ class PrefixTable:
     """The routing rule's choice for every affordable prefix of each query's
     (filter cost, index)-sorted models."""
 
-    filter_costs: np.ndarray  # (N, K)
+    model_costs: np.ndarray  # (K, N): filter costs, one row per model
     choices: np.ndarray  # (N, K): column m is the choice when m + 1 models are affordable
 
-    def select(self, budget: float) -> tuple[np.ndarray, np.ndarray]:
-        """(choices, clamped) of shape (N,) at one budget. A NaN budget
-        affords nothing, so every row clamps."""
-        count = np.count_nonzero(self.filter_costs <= budget, axis=1)
+    def select(self, budgets: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(choices, clamped) at one budget, each of shape (N,), or at a block
+        of B budgets, each of shape (B, N). A NaN budget affords nothing, so
+        every row clamps; a NaN filter cost is never affordable."""
+        budgets = np.asarray(budgets, dtype=np.float64)[..., None]
+        N, K = self.choices.shape
+        count = np.zeros(budgets.shape[:-1] + (N,), dtype=np.min_scalar_type(K))
+        for costs in self.model_costs:
+            # NaN compares false; a uint8 view adds without a cast
+            count += (costs <= budgets).view(np.uint8)
         clamped = count == 0
-        col = np.maximum(count - 1, 0)
-        return self.choices[np.arange(col.size), col], clamped
+        # row n's choice at count c sits at flat index n * K + c - 1 of
+        # choices; a count of 0 clamps to column 0, the cheapest model
+        index = np.maximum(count, 1) + np.arange(-1, N * K - 1, K)
+        return np.take(self.choices, index, mode="clip"), clamped
 
 
 def prefix_table(scores: np.ndarray, filter_costs: np.ndarray) -> PrefixTable:
@@ -103,14 +114,13 @@ def prefix_table(scores: np.ndarray, filter_costs: np.ndarray) -> PrefixTable:
     _check_scores(scores)
     order = np.argsort(filter_costs, axis=1, kind="stable")
     ranked = np.take_along_axis(np.asarray(scores), order, axis=1)
-    running = np.maximum.accumulate(ranked, axis=1)
     # a position opens a new maximum when it strictly beats every earlier one;
     # the first maximum of a prefix is the last such position inside it
     record = np.ones(ranked.shape, dtype=bool)
-    record[:, 1:] = ranked[:, 1:] > running[:, :-1]
-    positions = np.where(record, np.arange(ranked.shape[1]), 0)
-    first_max = np.maximum.accumulate(positions, axis=1)
-    return PrefixTable(filter_costs, np.take_along_axis(order, first_max, axis=1))
+    record[:, 1:] = ranked[:, 1:] > np.maximum.accumulate(ranked, axis=1)[:, :-1]
+    first_max = np.maximum.accumulate(np.where(record, np.arange(ranked.shape[1]), 0), axis=1)
+    return PrefixTable(np.ascontiguousarray(filter_costs.T),
+                       np.take_along_axis(order, first_max, axis=1))
 
 
 def select_under_budget_batch(
@@ -119,7 +129,8 @@ def select_under_budget_batch(
     """Routing rule over (N, K) score and cost matrices at one budget.
 
     Returns (choices, clamped) of shape (N,), row by row equal to
-    select_under_budget. To route many budgets, build prefix_table once.
+    select_under_budget. To route many budgets, build prefix_table once and
+    select blocks of them.
     """
     return prefix_table(scores, filter_costs).select(budget)
 
@@ -177,8 +188,8 @@ def mc_selection_frequencies(
         raise ValueError("mean vector must be nonempty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     rng = make_rng(seed, STREAM_MC)
     wins = np.zeros(a.size, dtype=np.int64)
     # chunked so trials=1e5 x K stays cache-friendly

@@ -1013,39 +1013,52 @@ def save_cost_predictor(path: Path | str, cp: CostPredictorParams) -> None:
 
 
 def load_router(path: Path | str):
-    """Load any checkpoint written by save_router or save_cost_predictor."""
+    """Load any checkpoint written by save_router or save_cost_predictor;
+    ValueError naming the file and the field when a header field is missing
+    or its hyperparameters do not fit."""
     header, params = load_checkpoint(path)
-    kind = header["router_type"]
+
+    def field(name: str):
+        if name not in header:
+            raise ValueError(f"{path}: checkpoint header has no {name!r} field")
+        return header[name]
+
+    def hyper(cls):
+        try:
+            return cls(**field("hyper"))
+        except TypeError as exc:
+            raise ValueError(f"{path}: checkpoint field 'hyper': {exc}") from None
+
+    kind = field("router_type")
     if kind in ("equirouter", "equirouter_nojoint", "mse"):
-        hyper = EquiHyper(**header["hyper"])
         router = init_equirouter(
-            hyper, joint_feature=bool(header["joint_feature"]), tag=kind
+            hyper(EquiHyper), joint_feature=bool(field("joint_feature")), tag=kind
         )
+        if [a.shape for a in params] != [a.shape for a in params_list(router)]:
+            raise ValueError(f"{path}: checkpoint arrays do not fit its field 'hyper'")
         assign_params(router, params)
         return router
     if kind == "mlp":
-        hyper = MlpHyper(**header["hyper"])
         w1, b1, w2, b2 = params
         return MlpRouterParams(
             hidden_layer=DenseLayer(w1, b1, "relu"),
             output_layer=DenseLayer(w2, b2, "identity"),
-            hyper=hyper,
+            hyper=hyper(MlpHyper),
         )
     if kind == "knn":
         return KnnRouterParams(
-            k=int(header["k"]),
-            train_indices=tuple(header["train_indices"]),
-            split_seed=int(header["split_seed"]),
+            k=int(field("k")),
+            train_indices=tuple(field("train_indices")),
+            split_seed=int(field("split_seed")),
         )
     if kind == "cost":
-        hyper = MlpHyper(**header["hyper"])
         w1, b1, w2, b2, mean, std = params
         return CostPredictorParams(
             hidden_layer=DenseLayer(w1, b1, "relu"),
             output_layer=DenseLayer(w2, b2, "identity"),
             target_mean=mean,
             target_std=std,
-            hyper=hyper,
+            hyper=hyper(MlpHyper),
         )
     if kind == "oracle":
         return OracleRouter()

@@ -305,7 +305,7 @@ def test_criterion_08_oracle_dominance(collapse_table):
     test_idx = np.asarray(split.test)
     grid = ev.budget_grid(table, test_idx, 100)
     oracle_curve = ev.sweep(OracleRouter(), table, test_idx, grid)
-    oracle_by_budget = {p.budget: p.mean_perf for p in oracle_curve.points}
+    oracle_by_budget = dict(zip(oracle_curve.budget.tolist(), oracle_curve.mean_perf.tolist()))
 
     routers = {
         "knn": train_knn_router(table, split, k=50),
@@ -323,8 +323,8 @@ def test_criterion_08_oracle_dominance(collapse_table):
     dominated = True
     for router in routers.values():
         curve = ev.sweep(router, table, test_idx, grid, cost_source="oracle")
-        for p in curve.points:
-            if oracle_by_budget[p.budget] < p.mean_perf - 1e-12:
+        for budget, perf in zip(curve.budget.tolist(), curve.mean_perf.tolist()):
+            if oracle_by_budget[budget] < perf - 1e-12:
                 dominated = False
     elapsed = time.monotonic() - start
     report(

@@ -613,6 +613,48 @@ def test_sweep_rejects_bad_inputs_before_any_write(
     assert not out.exists() or not any(out.iterdir())
 
 
+def _edit_header(path, edit):
+    """Rewrite a checkpoint's JSON header in place through `edit(header)`."""
+    data = path.read_bytes()
+    magic, size = data[:8], int.from_bytes(data[8:16], "little")
+    header = json.loads(data[16:16 + size])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(magic + len(blob).to_bytes(8, "little") + blob + data[16 + size:])
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        pytest.param(None, "Is a directory", id="directory"),
+        pytest.param(lambda h: h.pop("shapes"), "header field 'shapes' is missing", id="no-shapes"),
+        pytest.param(lambda h: h.pop("router_type"), "header has no 'router_type' field",
+                     id="no-router-type"),
+        pytest.param(lambda h: h["hyper"].update(bogus=1),
+                     "field 'hyper': MlpHyper.__init__() got an unexpected keyword argument "
+                     "'bogus'", id="unknown-hyper-key"),
+    ],
+)
+def test_malformed_checkpoint_exits_1_before_any_write(tmp_path, capsys, edit, error):
+    n = 40
+    table = make_table(perf=[[0.2, 0.9, 0.5]] * n, cost=[[1.0, 2.0, 3.0]] * n)
+    tdir = tmp_path / "table"
+    save_table(table, tdir)
+    save_split(make_split(n, (3, 1, 6), 42), tdir / "split.json")
+    ckpt = tmp_path / "mlp.ckpt"
+    if edit is None:
+        ckpt.mkdir()
+    else:
+        save_router(ckpt, constant_policy_router(table, favored=0))
+        _edit_header(ckpt, edit)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "router = mlp\ncost_source = oracle\n", table=tdir, out=out)
+    assert main(["sweep", "--config", cfg, "--checkpoint", str(ckpt)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ckpt}: ") and error in err, err
+    assert not out.exists()
+
+
 def test_sweep_and_pipeline_score_the_test_split_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, SYNTH_CONFIG, router="mlp", cost_source="predicted")
     trained = tmp_path / "trained"
@@ -732,6 +774,27 @@ def test_package_import_pins_blas_threads(imports, preset, expected):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split() == expected
+
+
+def test_pipeline_bytes_do_not_depend_on_blas_thread_variables(tmp_path):
+    # the host contract: a run with the BLAS variables unset, which the
+    # package pins on import, writes what a run with them set to 1 writes
+    cfg = write_config(tmp_path, SYNTH_CONFIG)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(cli_module.__file__).parents[1])
+    runs = []
+    for name, preset in (("unset", {}), ("one", dict.fromkeys(BLAS_VARS, "1"))):
+        (tmp_path / name).mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "equirouter.cli", "pipeline", "--config", cfg, "--out", "run"],
+            cwd=tmp_path / name, env={**env, **preset}, capture_output=True, check=True,
+        )
+        out = tmp_path / name / "run"
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+        runs.append((proc.stdout, files))
+    assert {"metrics.json", "curve.csv", "equirouter.ckpt", "table/table.bin"} <= set(runs[0][1])
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("script", ["run_ablation.py", "run_noise_collapse.py"])

@@ -11,7 +11,6 @@ from equirouter import evaluation as evaluation_module
 from equirouter.dataset import SynthConfig, generate_synthetic, make_split
 from equirouter.evaluation import (
     SweepCurve,
-    SweepPoint,
     budget_grid,
     call_rate_curve,
     metrics_summary,
@@ -63,7 +62,7 @@ def test_budget_grid_empty_split():
 def test_sweep_oracle_unconstrained_hits_row_maxima():
     t = make_table(perf=[[0.2, 0.9], [0.8, 0.1]], cost=[[1, 2], [1, 2]])
     curve = sweep(OracleRouter(), t, [0, 1], [10.0])
-    assert curve.points[0].mean_perf == pytest.approx(np.mean([0.9, 0.8]))
+    assert curve.mean_perf[0] == pytest.approx(np.mean([0.9, 0.8]))
 
 
 def test_sweep_constant_policy_cost():
@@ -73,28 +72,27 @@ def test_sweep_constant_policy_cost():
     mlp = constant_policy_router(t, favored=0)
     curve = sweep(mlp, t, [0, 1], [4.0, 10.0], cost_source="oracle")
     # both budgets exceed column 0's max cost, so x = mean of column 0
-    for p in curve.points:
-        assert p.mean_cost == pytest.approx(2.0)
-        assert p.calls == (2, 0)
+    assert curve.mean_cost.tolist() == pytest.approx([2.0, 2.0])
+    assert curve.calls.tolist() == [[2, 0], [2, 0]]
 
 
 def test_sweep_two_query_hand_routed():
     t = make_table(perf=[[0.4, 1.0], [0.9, 0.2]], cost=[[1.0, 4.0], [1.0, 4.0]])
     curve = sweep(OracleRouter(), t, [0, 1], [1.0, 10.0])
-    by_budget = {p.budget: p for p in curve.points}
+    assert curve.budget.tolist() == [1.0, 10.0]
     # budget 1: only model 0 feasible -> perf (0.4+0.9)/2, cost 1
-    assert by_budget[1.0].mean_perf == pytest.approx(0.65)
-    assert by_budget[1.0].mean_cost == pytest.approx(1.0)
+    assert curve.mean_perf[0] == pytest.approx(0.65)
+    assert curve.mean_cost[0] == pytest.approx(1.0)
     # budget 10: oracle picks (1.0 @ model 1) and (0.9 @ model 0)
-    assert by_budget[10.0].mean_perf == pytest.approx(0.95)
-    assert by_budget[10.0].mean_cost == pytest.approx(2.5)
-    assert by_budget[10.0].calls == (1, 1)
+    assert curve.mean_perf[1] == pytest.approx(0.95)
+    assert curve.mean_cost[1] == pytest.approx(2.5)
+    assert curve.calls[1].tolist() == [1, 1]
 
 
 def test_sweep_counts_clamped_queries():
     t = make_table(perf=[[1, 0]], cost=[[2.0, 3.0]])
     curve = sweep(OracleRouter(), t, [0], [0.5])
-    assert curve.points[0].clamped == 1
+    assert curve.clamped.tolist() == [1]
 
 
 def test_sweep_realized_cost_uses_true_costs():
@@ -115,26 +113,41 @@ def test_sweep_realized_cost_uses_true_costs():
     curve = sweep(OracleRouter(), t, range(6), [10.0], "oracle", cp)
     mlp = constant_policy_router(t, favored=1)
     curve = sweep(mlp, t, range(6), [10.0], "predicted", cp)
-    assert curve.points[0].mean_cost == pytest.approx(2.0)  # true cost of model 1
+    assert curve.mean_cost[0] == pytest.approx(2.0)  # true cost of model 1
+
+
+CURVE_COLUMNS = ("budget", "mean_cost", "mean_perf", "calls", "clamped", "unlimited_choices")
+
+
+def _columns(curve):
+    """A SweepCurve's columns as Python lists, by name."""
+    return {name: getattr(curve, name).tolist() for name in CURVE_COLUMNS}
 
 
 def _reference_sweep(scores, fcosts, table, indices, grid):
-    """The specification of sweep: one PrefixTable.select per budget, each
-    point's means taken by np.mean over that budget's (N,) values."""
+    """The specification of sweep, as column lists: one PrefixTable.select
+    per budget, each budget's means taken by np.mean over its (N,) values,
+    the budgets sorted by (mean cost, budget)."""
     prefix = prefix_table(scores, fcosts)
     rows = np.arange(len(indices))
     points = []
     for budget in grid:
         choices, clamped = prefix.select(budget)
-        points.append(SweepPoint(
-            budget=float(budget),
-            mean_cost=float(np.mean(table.cost[indices][rows, choices])),
-            mean_perf=float(np.mean(table.perf[indices][rows, choices])),
-            calls=tuple(int(c) for c in np.bincount(choices, minlength=table.n_models)),
-            clamped=int(clamped.sum()),
+        points.append((
+            float(budget),
+            float(np.mean(table.cost[indices][rows, choices])),
+            float(np.mean(table.perf[indices][rows, choices])),
+            [int(c) for c in np.bincount(choices, minlength=table.n_models)],
+            int(clamped.sum()),
         ))
-    points.sort(key=lambda p: (p.mean_cost, p.budget))
-    return points, prefix.choices[:, -1]
+    points.sort(key=lambda p: (p[1], p[0]))
+    columns = dict(zip(CURVE_COLUMNS, map(list, zip(*points))))
+    columns["unlimited_choices"] = prefix.choices[:, -1].tolist()
+    return columns
+
+
+def _reprs(columns):
+    return {name: repr(values) for name, values in columns.items()}
 
 
 def _sweep_drawn(scores, fcosts, table, indices, grid):
@@ -168,13 +181,13 @@ def test_sweep_matches_per_budget_reference(n, k, seed, nan_costs, n_budgets, sp
                            specials])
     grid = np.concatenate([grid, grid[: n_budgets]])
     rng.shuffle(grid)
-    curve = _sweep_drawn(scores, fcosts, t, indices, grid)
-    want, unlimited = _reference_sweep(scores, fcosts, t, indices, grid)
-    # repr tells apart what == cannot: NaN budgets and the bits of each float
-    assert list(map(repr, curve.points)) == list(map(repr, want))
-    assert np.array_equal(curve.unlimited_choices, unlimited)
+    got = _columns(_sweep_drawn(scores, fcosts, t, indices, grid))
+    want = _reference_sweep(scores, fcosts, t, indices, grid)
+    # repr tells apart what == cannot: NaN budgets, the bits of each float
+    # and an int from a float
+    assert _reprs(got) == _reprs(want)
     if not any(math.isnan(b) for b in grid):
-        assert list(curve.points) == want
+        assert got == want
 
 
 def test_sweep_matches_reference_with_more_than_255_models():
@@ -185,10 +198,9 @@ def test_sweep_matches_reference_with_more_than_255_models():
     t = make_table(perf=rng.random((n, k)), cost=rng.random((n, k)))
     grid = np.array([-1.0, 0.0, 4.0, 9.0, math.inf, 2.5])
     curve = _sweep_drawn(scores, fcosts, t, np.arange(n), grid)
-    want, unlimited = _reference_sweep(scores, fcosts, t, np.arange(n), grid)
-    assert list(curve.points) == want
-    assert np.array_equal(curve.unlimited_choices, unlimited)
-    assert max(p.clamped for p in curve.points) == n
+    want = _reference_sweep(scores, fcosts, t, np.arange(n), grid)
+    assert _reprs(_columns(curve)) == _reprs(want)
+    assert max(curve.clamped) == n
 
 
 def test_sweep_memory_flat_in_grid_size():
@@ -266,6 +278,36 @@ def test_qnc_hand_curve():
 def test_qnc_sentinel_when_unreached():
     q_abs, q_rel = qnc_from_curve([(1.0, 0.7), (3.0, 0.79)], a_max=0.8, x_max=3.0)
     assert q_abs is None and q_rel is None
+
+
+def test_qnc_sentinel_on_empty_curve():
+    assert qnc_from_curve([], a_max=0.8, x_max=3.0) == (None, None)
+
+
+def _merge_by_loop(xs, ys):
+    """The specification of _merge_equal_cost: one pass, each run of equal
+    costs keeping its first cost and its largest performance."""
+    out_x, out_y = [], []
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        if out_x and x == out_x[-1]:
+            out_y[-1] = max(out_y[-1], y)
+        else:
+            out_x.append(x)
+            out_y.append(y)
+    return out_x, out_y
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, math.inf]),
+                          st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])), max_size=12))
+def test_merge_equal_cost_matches_loop(pairs):
+    xs = np.array(sorted(x for x, _ in pairs))
+    ys = np.array([y for _, y in pairs])
+    got_x, got_y = evaluation_module._merge_equal_cost(xs, ys)
+    want_x, want_y = _merge_by_loop(xs, ys)
+    assert repr(got_x.tolist()) == repr(want_x)
+    # by value: the maximum of 0.0 and -0.0 may carry either sign
+    assert got_y.tolist() == want_y
 
 
 def test_qnc_oracle_at_most_one(small_synth):
@@ -396,23 +438,26 @@ def test_rci_matches_brute_force_random():
 def test_call_rates_constant_policy():
     t = make_table(perf=[[1, 0]] * 3, cost=[[1.0, 2.0]] * 3)
     curve = sweep(constant_policy_router(t, favored=0), t, [0, 1, 2], [2.0, 5.0])
-    for _, shares in call_rate_curve(curve):
-        assert shares == (1.0, 0.0)
+    budgets, shares = call_rate_curve(curve)
+    assert budgets.tolist() == [2.0, 5.0]
+    assert shares.tolist() == [[1.0, 0.0], [1.0, 0.0]]
 
 
 def test_call_rates_strongest_never_unique_best():
     # every query ties model 0; cheapest-tie-break starves the expensive model
     t = make_table(perf=[[1.0, 1.0]] * 4, cost=[[1.0, 2.0]] * 4)
     curve = sweep(OracleRouter(), t, range(4), [5.0])
-    assert call_rate_curve(curve)[0][1] == (1.0, 0.0)
+    assert call_rate_curve(curve)[1].tolist() == [[1.0, 0.0]]
 
 
 def test_call_rates_rows_sum_to_one(small_synth):
     idx = np.arange(small_synth.n_queries)
     grid = budget_grid(small_synth, idx, 20)
     curve = sweep(OracleRouter(), small_synth, idx, grid)
-    for _, shares in call_rate_curve(curve):
-        assert sum(shares) == pytest.approx(1.0)
+    budgets, shares = call_rate_curve(curve)
+    assert budgets.tolist() == sorted(grid.tolist())
+    for row in shares.tolist():
+        assert sum(row) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +484,7 @@ def test_training_set_eval_equals_full_split_sweep(small_synth):
     grid = budget_grid(small_synth, idx, 30)
     direct = sweep(knn, small_synth, idx, grid)
     assert curve == direct
-    assert np.array_equal(curve.unlimited_choices, direct.unlimited_choices)
+    assert _reprs(_columns(curve)) == _reprs(_columns(direct))
     assert metrics_summary(direct, small_synth, idx) == summary
 
 
@@ -473,8 +518,9 @@ def test_noise_sensitivity_noise_cannot_beat_oracle(small_synth):
     rows = noise_sensitivity(small_synth, [0.0, 0.1, 0.5], budget, seed=4)
     assert all(r.accuracy <= rows[0].accuracy + 1e-12 for r in rows)
     assert noise_sensitivity(small_synth, [0.0, 0.1, 0.5], budget, seed=4) == rows
-    with pytest.raises(ValueError, match="sigma must be nonnegative"):
-        noise_sensitivity(small_synth, [0.1, -0.1], budget, seed=4)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+            noise_sensitivity(small_synth, [0.1, bad], budget, seed=4)
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +534,16 @@ def test_oracle_dominates_any_router(small_synth):
     oracle_curve = sweep(OracleRouter(), small_synth, test_idx, grid)
     knn = train_knn_router(small_synth, split, k=5)
     knn_curve = sweep(knn, small_synth, test_idx, grid, cost_source="oracle")
-    by_budget = {p.budget: p.mean_perf for p in oracle_curve.points}
-    for p in knn_curve.points:
-        assert by_budget[p.budget] >= p.mean_perf - 1e-12
+    by_budget = dict(zip(oracle_curve.budget.tolist(), oracle_curve.mean_perf.tolist()))
+    assert sorted(knn_curve.budget.tolist()) == sorted(by_budget)
+    for budget, perf in zip(knn_curve.budget.tolist(), knn_curve.mean_perf.tolist()):
+        assert by_budget[budget] >= perf - 1e-12
 
 
 def test_sweep_curve_rejects_unsorted_points():
-    bad = [
-        SweepPoint(budget=1.0, mean_cost=2.0, mean_perf=0.5, calls=(1,), clamped=0),
-        SweepPoint(budget=2.0, mean_cost=1.0, mean_perf=0.5, calls=(1,), clamped=0),
-    ]
-    with pytest.raises(ValueError):
-        SweepCurve(points=tuple(bad))
+    columns = dict(budget=np.array([1.0, 2.0]), mean_perf=np.array([0.5, 0.5]),
+                   calls=np.array([[1], [1]]), clamped=np.array([0, 0]),
+                   unlimited_choices=np.array([0]))
+    SweepCurve(mean_cost=np.array([1.0, 2.0]), **columns)
+    with pytest.raises(ValueError, match="sorted by mean cost"):
+        SweepCurve(mean_cost=np.array([2.0, 1.0]), **columns)

@@ -13,6 +13,7 @@ from equirouter.oracle import (
     margin_stats,
     mc_selection_frequencies,
     oracle_select,
+    prefix_table,
     select_under_budget,
     select_under_budget_batch,
     write_margin_cdf_csv,
@@ -94,16 +95,19 @@ def test_select_matches_exhaustive_enumeration(n, k, seed, budget):
     rows = np.arange(n)
     # budgets on every cost value, below every cost, unlimited and NaN
     budgets = [budget, *np.unique(c).tolist(), 0.05, math.inf, math.nan]
-    for b in budgets:
+    block = prefix_table(a, c).select(budgets)
+    for row, b in enumerate(budgets):
         want = [_brute_force_select(a[i], c[i], b) for i in rows]
         want_clamped = [not np.any(c[i] <= b) for i in rows]
         for i in rows:
             assert select_under_budget(a[i], c[i], b) == (want[i], want_clamped[i])
         choices, clamped = select_under_budget_batch(a, c, b)
         assert choices.tolist() == want and clamped.tolist() == want_clamped
-        (point,) = sweep(OracleRouter(), t, rows, [b]).points
-        assert point.calls == tuple(np.bincount(want, minlength=k).tolist())
-        assert point.clamped == sum(want_clamped)
+        # each row of a block of budgets is the decision at its budget alone
+        assert block[0][row].tolist() == want and block[1][row].tolist() == want_clamped
+        curve = sweep(OracleRouter(), t, rows, [b])
+        assert curve.calls.tolist() == [np.bincount(want, minlength=k).tolist()]
+        assert curve.clamped.tolist() == [sum(want_clamped)]
 
 
 def test_select_rejects_nan_scores():
@@ -212,6 +216,12 @@ def test_margin_stats_synthetic_regime():
 def test_mc_dominant_mean():
     freq = mc_selection_frequencies(np.array([1.0, 0.0, 0.0]), 0.01, 100_000, seed=1)
     assert freq[0] > 0.999
+
+
+@pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+def test_mc_rejects_negative_or_nonfinite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+        mc_selection_frequencies(np.array([1.0, 0.0, 0.0]), sigma, 10, seed=1)
 
 
 def test_mc_symmetric_means():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equirouter.dataset import ModelInfo, RoutingTable, SynthConfig, generate_synthetic, make_split
-from equirouter.neuralnet import grad_check
+from equirouter.neuralnet import grad_check, load_checkpoint, save_checkpoint
 from equirouter.oracle import oracle_select, select_under_budget
 import equirouter.neuralnet as neuralnet_module
 import equirouter.router as router_module
@@ -1085,6 +1085,18 @@ def test_router_checkpoint_round_trip(tmp_path, small_synth):
     assert loaded.tag == "equirouter"
     x = small_synth.embeddings[0]
     assert np.array_equal(scores_batch(loaded, x[None]), scores_batch(params, x[None]))
+
+
+def test_load_router_refuses_arrays_that_do_not_fit_hyper(tmp_path, small_synth):
+    # a latent_dim other than the arrays' would slice the FiLM terms wrongly
+    hyper = tiny_hyper(small_synth.embed_dim, small_synth.n_models)
+    path = tmp_path / "r.ckpt"
+    save_router(path, init_equirouter(hyper))
+    header, _ = load_checkpoint(path)
+    wider = init_equirouter(tiny_hyper(small_synth.embed_dim, small_synth.n_models, latent_dim=9))
+    save_checkpoint(path, header, params_list(wider))
+    with pytest.raises(ValueError, match="r.ckpt: checkpoint arrays do not fit its field 'hyper'"):
+        load_router(path)
 
 
 def test_all_router_kinds_round_trip(tmp_path, small_synth):
