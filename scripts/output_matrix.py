@@ -7,7 +7,8 @@ scored in two blocks, 256 rows then 344) it runs `synth`, then `train`,
 `sweep --checkpoint`, `diagnose` and `pipeline` for each router kind, each
 through `python -m equirouter.cli` on the package source beside this script,
 with one BLAS thread. `equirouter-pipeline-k11` runs the EquiRouter pipeline
-on an 11-model, 600-query table. Four more steps must be refused with exit 1
+and `oracle-diagnose-k11` the oracle `diagnose` on an 11-model, 600-query
+table. Four more steps must be refused with exit 1
 before any write: `refuse-kind` offers the EquiRouter checkpoint as an MLP,
 `refuse-split` offers the kNN checkpoint to a run at another split.seed,
 `refuse-empty-test` runs a pipeline whose split.ratio (1000:1:1) leaves the
@@ -148,6 +149,8 @@ def run_matrix(out: Path, tree: Path) -> list[str]:
             "--checkpoint", "knn-train/knn.ckpt"),
         cli("equirouter-pipeline-k11", "pipeline", "--config", "synth-k11.cfg",
             "--router", "equirouter"),
+        cli("oracle-diagnose-k11", "diagnose", "--config", "synth-k11.cfg",
+            "--router", "oracle"),
         cli("refuse-empty-test", "pipeline", "--config", "empty-test.cfg"),
         cli("refuse-nan-gate", "pipeline", "--config", "nan-gate.cfg"),
         ("run_ablation", ["scripts/run_ablation.py", "--queries", "600", "--epochs", "5"]),

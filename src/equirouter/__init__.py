@@ -55,7 +55,6 @@ from .oracle import (
     FeasibleSet,
     MarginStats,
     feasible_set,
-    margin,
     margin_stats,
     mc_selection_frequencies,
     oracle_select,

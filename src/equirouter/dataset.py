@@ -231,9 +231,10 @@ def load_split(path: Path | str) -> SplitIndices:
     for key in ("train", "valid", "test"):
         if not isinstance(payload[key], list):
             raise ValueError(f'"{key}" is not a list of indices')
-        bad = [i for i in payload[key] if not _is_int(i)]
-        if bad:
-            raise ValueError(f'"{key}" holds a non-integer index {bad[0]!r}')
+        # one pass over the types; a bool's type is not int
+        if not set(map(type, payload[key])) <= {int}:
+            bad = next(i for i in payload[key] if not _is_int(i))
+            raise ValueError(f'"{key}" holds a non-integer index {bad!r}')
     return SplitIndices(
         train=tuple(payload["train"]),
         valid=tuple(payload["valid"]),

@@ -32,34 +32,29 @@ from .dataset import RoutingTable
 from .rng import STREAM_MC, make_rng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibleSet:
-    """Models whose cost stays within the budget for one query.
+    """Models whose cost stays within the budget, one row per query.
 
-    When no model is affordable the cheapest one is force-included and
-    `clamped` is set: deployment must answer every query.
+    A row where no model is affordable holds only its cheapest model and is
+    `clamped`: deployment must answer every query.
     """
 
-    query_index: int
     budget: float
-    members: tuple[int, ...]
-    clamped: bool
+    members: np.ndarray  # (N, K) bool: cost <= budget, or the clamped argmin
+    clamped: np.ndarray  # (N,) bool
 
 
-def feasible_set(table: RoutingTable, n: int, budget: float) -> FeasibleSet:
+def feasible_set(table: RoutingTable, budget: float) -> FeasibleSet:
+    """Every query's feasible set at one budget. A NaN budget affords
+    nothing, so every row clamps."""
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    costs = table.cost[n]
-    members = np.flatnonzero(costs <= budget)
-    clamped = members.size == 0
-    if clamped:
-        members = np.array([np.argmin(costs)])
-    return FeasibleSet(
-        query_index=int(n),
-        budget=float(budget),
-        members=tuple(int(j) for j in members),
-        clamped=bool(clamped),
-    )
+    members = table.cost <= budget
+    clamped = ~members.any(axis=1)
+    rows = np.flatnonzero(clamped)
+    members[rows, np.argmin(table.cost[rows], axis=1)] = True
+    return FeasibleSet(budget=float(budget), members=members, clamped=clamped)
 
 
 def _check_scores(scores: np.ndarray) -> None:
@@ -141,20 +136,11 @@ def oracle_select(table: RoutingTable, n: int, budget: float) -> int:
     return choice
 
 
-def margin(table: RoutingTable, n: int, budget: float) -> float | None:
-    """Gap between best and second-best feasible performance; None if |F| < 2."""
-    fs = feasible_set(table, n, budget)
-    if len(fs.members) < 2:
-        return None
-    a = np.sort(table.perf[n, list(fs.members)])
-    return float(a[-1] - a[-2])
-
-
 @dataclass(frozen=True)
 class MarginStats:
     """Distribution of top-two performance gaps at one budget."""
 
-    margins: np.ndarray  # defined margins only, queries with |F| >= 2
+    margins: np.ndarray  # defined margins only, queries with |F| >= 2, in query order
     tie_rate: float
     cdf_at: dict[float, float]
 
@@ -164,10 +150,15 @@ def margin_stats(
 ) -> MarginStats:
     if sorted(thresholds) != list(thresholds):
         raise ValueError("thresholds must be sorted ascending")
-    values = [margin(table, n, budget) for n in range(table.n_queries)]
-    margins = np.array([v for v in values if v is not None], dtype=np.float64)
-    if margins.size == 0:
+    members = feasible_set(table, budget).members
+    defined = np.count_nonzero(members, axis=1) >= 2
+    if not defined.any():
         raise ValueError("no query has >= 2 feasible models at this budget")
+    # non-members rank below every member, so a row's last two places after
+    # the partition hold its two best feasible performances
+    top = np.where(members, table.perf, -np.inf)
+    top.partition(top.shape[1] - 2, axis=1)
+    margins = top[defined, -1] - top[defined, -2]
     tie_rate = float(np.mean(margins == 0.0))
     cdf = {float(t): float(np.mean(margins <= t)) for t in thresholds}
     if 0.0 not in cdf:

@@ -1046,11 +1046,16 @@ def load_router(path: Path | str):
             hyper=hyper(MlpHyper),
         )
     if kind == "knn":
-        return KnnRouterParams(
-            k=int(field("k")),
-            train_indices=tuple(field("train_indices")),
-            split_seed=int(field("split_seed")),
-        )
+        k, train, seed = field("k"), field("train_indices"), field("split_seed")
+        # a JSON integer decodes to an int, and a bool's type is not int
+        if not (type(k) is int and k >= 1):
+            raise ValueError(f"{path}: checkpoint field 'k' is not an integer >= 1: {k!r}")
+        if not (isinstance(train, list) and set(map(type, train)) <= {int}):
+            raise ValueError(f"{path}: checkpoint field 'train_indices' is not a list of "
+                             "integers")
+        if type(seed) is not int:
+            raise ValueError(f"{path}: checkpoint field 'split_seed' is not an integer: {seed!r}")
+        return KnnRouterParams(k=k, train_indices=tuple(train), split_seed=seed)
     if kind == "cost":
         w1, b1, w2, b2, mean, std = params
         return CostPredictorParams(

@@ -30,6 +30,22 @@ def make_table(perf, cost, embeddings=None) -> RoutingTable:
     )
 
 
+def margin(table: RoutingTable, n: int, budget: float) -> float | None:
+    """Reference spec of one query's oracle margin: the gap between the best
+    and second-best performance among the models with cost <= budget (the
+    cheapest model alone when none is); None when fewer than two remain."""
+    if budget <= 0:
+        raise ValueError(f"budget must be positive, got {budget}")
+    costs = table.cost[n]
+    members = np.flatnonzero(costs <= budget)
+    if members.size == 0:
+        members = np.array([np.argmin(costs)])
+    if members.size < 2:
+        return None
+    a = np.sort(table.perf[n, members])
+    return float(a[-1] - a[-2])
+
+
 def constant_policy_router(table, favored=0):
     """MLP with zeroed weights and a one-hot output bias: constant scores."""
     mlp, _ = train_mlp_router(

@@ -36,7 +36,7 @@ from equirouter.dataset import (
     save_split,
     save_table,
 )
-from equirouter.router import save_router
+from equirouter.router import save_router, train_knn_router
 
 from conftest import constant_policy_router, make_table
 
@@ -649,6 +649,35 @@ def test_malformed_checkpoint_exits_1_before_any_write(tmp_path, capsys, edit, e
         _edit_header(ckpt, edit)
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "router = mlp\ncost_source = oracle\n", table=tdir, out=out)
+    assert main(["sweep", "--config", cfg, "--checkpoint", str(ckpt)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ckpt}: ") and error in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        pytest.param({"train_indices": 5}, "field 'train_indices' is not a list of integers",
+                     id="train-int"),
+        pytest.param({"k": None}, "field 'k' is not an integer >= 1: None", id="k-null"),
+        pytest.param({"k": 0}, "field 'k' is not an integer >= 1: 0", id="k-zero"),
+        pytest.param({"split_seed": "x"}, "field 'split_seed' is not an integer: 'x'",
+                     id="seed-str"),
+    ],
+)
+def test_malformed_knn_checkpoint_exits_1_before_any_write(tmp_path, capsys, edit, error):
+    n = 40
+    table = make_table(perf=[[0.2, 0.9, 0.5]] * n, cost=[[1.0, 2.0, 3.0]] * n)
+    tdir = tmp_path / "table"
+    save_table(table, tdir)
+    split = make_split(n, (3, 1, 6), 42)
+    save_split(split, tdir / "split.json")
+    ckpt = tmp_path / "knn.ckpt"
+    save_router(ckpt, train_knn_router(table, split, k=3))
+    _edit_header(ckpt, lambda h: h.update(edit))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "router = knn\ncost_source = oracle\n", table=tdir, out=out)
     assert main(["sweep", "--config", cfg, "--checkpoint", str(ckpt)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"error: checkpoint {ckpt}: ") and error in err, err

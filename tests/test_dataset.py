@@ -27,7 +27,7 @@ from equirouter.dataset import (
     save_table,
 )
 from equirouter.neuralnet import load_checkpoint, save_checkpoint
-from equirouter.oracle import margin
+from equirouter.oracle import margin_stats
 
 from conftest import make_table
 
@@ -677,6 +677,21 @@ def test_split_round_trip(tmp_path):
     assert load_split(tmp_path / "split.json") == split
 
 
+@pytest.mark.parametrize(
+    "key, values, bad",
+    [
+        ("train", [0, 1, True, "x"], "True"),
+        ("valid", [2, 1.0], "1.0"),
+        ("test", [None, 3], "None"),
+    ],
+)
+def test_load_split_names_the_first_non_integer_index(tmp_path, key, values, bad):
+    payload = {"seed": 5, "train": [0], "valid": [1], "test": [2], key: values}
+    (tmp_path / "split.json").write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f'^"{key}" holds a non-integer index {bad}$'):
+        load_split(tmp_path / "split.json")
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     n=st.integers(min_value=3, max_value=200),
@@ -701,9 +716,9 @@ def test_split_partition_property(n, ratio, seed):
 
 
 def _full_pool_tie_rate(table):
-    budget = float(table.cost.max())
-    margins = [margin(table, n, budget) for n in range(table.n_queries)]
-    return float(np.mean([m == 0.0 for m in margins]))
+    stats = margin_stats(table, float(table.cost.max()), [0.0])
+    assert stats.margins.size == table.n_queries  # every query affords the whole pool
+    return stats.tie_rate
 
 
 def test_generator_all_ties():
@@ -770,9 +785,9 @@ def test_generator_embeddings_carry_oracle_signal():
         n_queries=2000, n_models=5, embed_dim=16, tie_fraction=0.5, noise_seed=8
     )
     t = generate_synthetic(cfg)
-    budget = float(t.cost.max())
-    labels = np.array([0 if margin(t, n, budget) == 0 else 1 + int(np.argmax(t.perf[n]))
-                       for n in range(t.n_queries)])
+    # at the full budget every query has a margin, listed in query order
+    margins = margin_stats(t, float(t.cost.max()), [0.0]).margins
+    labels = np.where(margins == 0, 0, 1 + np.argmax(t.perf, axis=1))
     half = t.n_queries // 2
     centroids = np.stack(
         [t.embeddings[:half][labels[:half] == c].mean(axis=0) for c in range(6)]

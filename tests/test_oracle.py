@@ -9,7 +9,6 @@ from equirouter.dataset import SynthConfig, generate_synthetic
 from equirouter.evaluation import noise_sensitivity, sweep
 from equirouter.oracle import (
     feasible_set,
-    margin,
     margin_stats,
     mc_selection_frequencies,
     oracle_select,
@@ -20,7 +19,7 @@ from equirouter.oracle import (
 )
 from equirouter.router import OracleRouter
 
-from conftest import make_table
+from conftest import make_table, margin
 
 
 def one_query_table(a, c):
@@ -33,25 +32,64 @@ def one_query_table(a, c):
 
 def test_feasible_set_basic():
     t = one_query_table([0, 0, 0], [1, 3, 2])
-    fs = feasible_set(t, 0, 2.5)
-    assert fs.members == (0, 2) and not fs.clamped
+    fs = feasible_set(t, 2.5)
+    assert fs.members.shape == (2, 3) and fs.clamped.shape == (2,)
+    assert np.flatnonzero(fs.members[0]).tolist() == [0, 2] and not fs.clamped[0]
 
 
 def test_feasible_set_all_affordable():
     t = one_query_table([0, 0, 0], [1, 3, 2])
-    assert feasible_set(t, 0, 10).members == (0, 1, 2)
+    assert np.flatnonzero(feasible_set(t, 10).members[0]).tolist() == [0, 1, 2]
 
 
 def test_feasible_set_clamps_to_cheapest():
     t = one_query_table([0, 0, 0], [1, 3, 2])
-    fs = feasible_set(t, 0, 0.5)
-    assert fs.members == (0,) and fs.clamped
+    fs = feasible_set(t, 0.5)
+    assert np.flatnonzero(fs.members[0]).tolist() == [0] and fs.clamped[0]
 
 
 def test_feasible_set_rejects_nonpositive_budget():
     t = one_query_table([0, 0], [1, 2])
     with pytest.raises(ValueError):
-        feasible_set(t, 0, 0.0)
+        feasible_set(t, 0.0)
+
+
+def test_feasible_set_nan_budget_clamps_every_row():
+    t = make_table(perf=[[0, 0, 0], [0, 0, 0]], cost=[[1, 3, 2], [4, 2, 2]])
+    fs = feasible_set(t, math.nan)
+    assert fs.clamped.tolist() == [True, True]
+    assert fs.members.tolist() == [[True, False, False], [False, True, False]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), k=st.integers(2, 5))
+def test_feasible_set_and_margins_match_spec(data, n, k):
+    """Column feasible sets and one-pass margins equal the per-query spec,
+    bit for bit and in query order, on small tables with tied performances,
+    tied costs, budgets on a cost value and rows that clamp."""
+    # values >= 0.0 exclude -0.0: sort and partition may order equal zeros
+    # differently, which would flip the sign of a zero margin
+    perf = data.draw(st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+                                       | st.floats(0.0, 1.0), min_size=k, max_size=k),
+                              min_size=n, max_size=n))
+    cost = data.draw(st.lists(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                                       min_size=k, max_size=k), min_size=n, max_size=n))
+    t = make_table(perf=perf, cost=cost)
+    budget = data.draw(st.sampled_from(sorted({*t.cost.ravel().tolist(), 0.25, 2.5, 10.0})))
+    fs = feasible_set(t, budget)
+    assert fs.budget == budget
+    for row in range(n):
+        affordable = np.flatnonzero(t.cost[row] <= budget)
+        assert fs.clamped[row] == (affordable.size == 0)
+        want = affordable if affordable.size else [np.argmin(t.cost[row])]
+        assert np.flatnonzero(fs.members[row]).tolist() == list(want)
+    spec = [m for m in (margin(t, row, budget) for row in range(n)) if m is not None]
+    if not spec:
+        with pytest.raises(ValueError, match="feasible"):
+            margin_stats(t, budget, [0.0])
+        return
+    got = margin_stats(t, budget, [0.0]).margins
+    assert got.tobytes() == np.array(spec, dtype=np.float64).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +179,7 @@ def test_oracle_optimality_and_frugality(seed, budget):
     t = make_table(perf=a, cost=c)
     for n in range(4):
         pick = oracle_select(t, n, budget)
-        members = feasible_set(t, n, budget).members
+        members = np.flatnonzero(feasible_set(t, budget).members[n])
         assert all(a[n, pick] >= a[n, j] for j in members)
         assert not any(
             a[n, j] == a[n, pick] and c[n, j] < c[n, pick] for j in members
@@ -155,23 +193,29 @@ def test_oracle_optimality_and_frugality(seed, budget):
 def test_margin_tied_top_is_zero():
     t = one_query_table([0.8, 0.8, 0.2], [1, 1, 1])
     assert margin(t, 0, 10) == 0.0
+    assert margin_stats(t, 10, [0.0]).margins.tolist() == [0.0, 0.0]
 
 
 def test_margin_direct_gap():
     t = one_query_table([1.0, 0.3], [1, 1])
     assert margin(t, 0, 10) == pytest.approx(0.7)
+    assert margin_stats(t, 10, [0.0]).margins.tolist() == [margin(t, 0, 10)] * 2
 
 
 def test_margin_singleton_undefined():
-    t = one_query_table([1.0, 0.3], [1, 5])
+    t = make_table(perf=[[1.0, 0.3], [0.6, 0.2]], cost=[[1, 5], [1, 1]])
     assert margin(t, 0, 2) is None
+    # only the second query has two affordable models
+    assert margin_stats(t, 2, [0.0]).margins.tolist() == [margin(t, 1, 2)]
 
 
 def test_margin_nonnegative_and_zero_iff_tie(small_synth):
     budget = float(small_synth.cost.max())
+    margins = margin_stats(small_synth, budget, [0.0]).margins
+    assert margins.size == small_synth.n_queries
     for n in range(small_synth.n_queries):
-        m = margin(small_synth, n, budget)
-        assert m is not None and m >= 0
+        m = margins[n]
+        assert m == margin(small_synth, n, budget) and m >= 0
         top = small_synth.perf[n].max()
         tied = int(np.sum(small_synth.perf[n] == top))
         assert (m == 0) == (tied >= 2)

@@ -16,6 +16,7 @@ from equirouter.rng import make_rng
 from equirouter.router import (
     CostPredictorParams,
     EquiHyper,
+    KnnRouterParams,
     MlpHyper,
     MlpRouterParams,
     OracleRouter,
@@ -1097,6 +1098,36 @@ def test_load_router_refuses_arrays_that_do_not_fit_hyper(tmp_path, small_synth)
     save_checkpoint(path, header, params_list(wider))
     with pytest.raises(ValueError, match="r.ckpt: checkpoint arrays do not fit its field 'hyper'"):
         load_router(path)
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        pytest.param({"k": None}, "field 'k' is not an integer >= 1: None", id="k-null"),
+        pytest.param({"k": 0}, "field 'k' is not an integer >= 1: 0", id="k-zero"),
+        pytest.param({"k": 2.0}, "field 'k' is not an integer >= 1: 2.0", id="k-float"),
+        pytest.param({"k": True}, "field 'k' is not an integer >= 1: True", id="k-bool"),
+        pytest.param({"train_indices": 5}, "field 'train_indices' is not a list of integers",
+                     id="train-int"),
+        pytest.param({"train_indices": ["a"]}, "field 'train_indices' is not a list of integers",
+                     id="train-str"),
+        pytest.param({"train_indices": [0, True]},
+                     "field 'train_indices' is not a list of integers", id="train-bool"),
+        pytest.param({"split_seed": "x"}, "field 'split_seed' is not an integer: 'x'",
+                     id="seed-str"),
+        pytest.param({"split_seed": None}, "field 'split_seed' is not an integer: None",
+                     id="seed-null"),
+    ],
+)
+def test_load_router_refuses_malformed_knn_header(tmp_path, edit, error):
+    path = tmp_path / "knn.ckpt"
+    save_router(path, KnnRouterParams(k=3, train_indices=(0, 2, 4), split_seed=42))
+    assert load_router(path) == KnnRouterParams(k=3, train_indices=(0, 2, 4), split_seed=42)
+    header, arrays = load_checkpoint(path)
+    save_checkpoint(path, {**header, **edit}, arrays)
+    with pytest.raises(ValueError) as info:
+        load_router(path)
+    assert str(info.value) == f"{path}: checkpoint {error}"
 
 
 def test_all_router_kinds_round_trip(tmp_path, small_synth):
