@@ -133,8 +133,8 @@ class ExperimentConfig:
             value = getattr(self, CONFIG_KEYS[key][0])
             if value < 1:
                 raise ConfigError(f"{key} must be >= 1, got {value}")
-        if not self.lr > 0:  # NaN fails too
-            raise ConfigError(f"train.lr must be > 0, got {self.lr}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"train.lr must be finite and > 0, got {self.lr}")
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ConfigError(f"train.weight_decay must be finite and >= 0, got {self.weight_decay}")
         for key in ("diagnose.sigmas", "diagnose.margin_thresholds"):
@@ -266,7 +266,10 @@ def _read_inputs(
     split_path = Path(cfg.table or ".", "split.json")  # only read for a table directory
     made = cfg.table is None or not split_path.is_file()
     if made:
-        split = make_split(table.n_queries, cfg.split_ratio, cfg.split_seed)
+        try:
+            split = make_split(table.n_queries, cfg.split_ratio, cfg.split_seed)
+        except ValueError as exc:
+            raise ConfigError(f"split.ratio: {exc}") from exc
         source = f"split.ratio {':'.join(f'{r:g}' for r in cfg.split_ratio)}"
     else:
         try:
@@ -555,18 +558,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.checkpoint)
-        if args.command == "diagnose":
-            return cmd_diagnose(cfg)
-        if args.command == "pipeline":
-            return cmd_pipeline(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # a non-finite intermediate is reported by the finiteness checks as
+        # exit 2, not by numpy as a warning ahead of the error line
+        with np.errstate(all="ignore"):
+            cfg = load_config(args)
+            if args.command == "synth":
+                return cmd_synth(cfg)
+            if args.command == "train":
+                return cmd_train(cfg)
+            if args.command == "sweep":
+                return cmd_sweep(cfg, args.checkpoint)
+            if args.command == "diagnose":
+                return cmd_diagnose(cfg)
+            if args.command == "pipeline":
+                return cmd_pipeline(cfg)
+            raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

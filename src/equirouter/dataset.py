@@ -188,7 +188,10 @@ def make_split(n: int, ratio: Sequence[float], seed: int) -> SplitIndices:
     if n < len(ratio):
         raise ValueError(f"cannot split {n} items into {len(ratio)} parts")
     total = sum(ratio)
-    sizes = [int(np.floor(n * r / total)) for r in ratio]
+    shares = [n * r / total for r in ratio]
+    if not all(np.isfinite(shares)):
+        raise ValueError(f"ratio {ratio} overflows when splitting {n} items")
+    sizes = [int(np.floor(s)) for s in shares]
     leftover = n - sum(sizes)
     for i in range(leftover):
         sizes[i] += 1

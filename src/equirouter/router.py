@@ -19,32 +19,44 @@ architecture but regresses s_j onto the raw performance values.
 
 The ordered pairs of a split are one dense precedence tensor W (N, K, K),
 W[n, i, j] = 1/|P_n| where i outranks j in query n, built once per split;
-batch loss, score gradient and validation loss are masked array ops over it.
+batch loss, score gradient and validation loss are masked array ops over it,
+with one exp(-|s_i - s_j|) per entry serving both the loss and its gradient.
 W takes N * K^2 * 8 bytes, about 1 MB for 1000 training queries over 11
 models; K <= 20 keeps it negligible.
 
 The head's first layer acts on the four D-column blocks of h_j separately.
 With W1 = [Wz, We, Wu, Wv], its pre-activation is z_j Wz^T + (z_j * e_j) Wu^T
-+ |z_j - e_j| Wv^T + c_j, where c_j = e_j We^T + b1 is a per-model constant;
-the no-joint head keeps the z_j and c terms. Training and scoring so hold
-(B, K, D) arrays, never a (B * K, 4D) one. The trunk, the FiLM and model
-projections and the head's output layer backpropagate through
-`neuralnet.backward`; the modulation, the interaction blocks and the head's
-first layer are differentiated here. Every trainer runs the same epoch loop
-(`_fit`) and differs only in its batch objective and validation loss. Tests
-check every gradient against finite differences.
++ |z_j - e_j| Wv^T + e_j We^T + b1. Since z_j = g * z + b, the z_j and u
+terms are affine in the trunk output z and fold into one matrix per model:
+
+    A_j = g * (Wz^T + e_j * Wu^T)             (D, D), rows scaled
+    c_j = b Wz^T + (b * e_j) Wu^T + e_j We^T + b1
+    P_j = z A_j + c_j + |g * z + (b - e_j)| Wv^T
+
+so the pre-activation of every model is one (B, D) x (D, K * D) product,
+z A, plus the |z_j - e_j| block, the only one that needs per-model work; the
+no-joint head keeps z A + c. Training and scoring so hold (B, K, D) arrays,
+never a (B * K, 4D) one: two products forward and four backward, dz and dA
+from z A's two, which small (D, K, D) contractions map back to g, b, e_j,
+Wz, Wu and We. The trunk and the FiLM and model projections backpropagate
+through `neuralnet.backward`; the head's two layers, the folding and the
+|z_j - e_j| block are differentiated here (the output layer maps D to 1, so
+its input gradient is an outer product, cheaper by einsum than by matmul).
+Every trainer runs the same epoch loop (`_fit`) and differs only in its
+batch objective and validation loss. Tests check every gradient against
+finite differences.
 
 An EquiRouter training run allocates one workspace (`_workspace`), sized for
 its batch and its largest validation scoring block. Every step and
 validation block writes its (B, K, D) intermediates into it with `out=`, so
 no step allocates, and the OS maps in, fresh arrays of that size.
-Intermediates whose lifetimes do not overlap share a slot, so the workspace
-holds no more (B, K, D) arrays than one step used to hold alive. `out=`
-changes where a result is stored, not how it is computed, so training is
-bit-identical with or without it. Scoring outside training allocates per
-block as before.
+Intermediates whose lifetimes do not overlap share a slot: three for the
+joint head, two for the no-joint one, no more (B, K, D) arrays than one step
+would hold alive. `out=` changes where a result is stored, not how it is
+computed, so training is bit-identical with or without it. Scoring outside
+training allocates per block as before.
 
-The model-side terms g, b, e_j, W1^T and c depend on no query. The training
+The model-side terms g, b, e_j, A, c and Wv^T depend on no query. The training
 objectives compute them fresh on every call; scoring (`scores_batch`, and so
 `router_scores`, `route()`, sweeps and validation) computes them once per
 parameter set and keeps them in a private slot on the params, keyed on the
@@ -55,8 +67,9 @@ are views of the run's flat parameter vector, and each Adam step returns a
 fresh vector whose views replace the last step's (`_fit`).
 
 Every router scores a batch in blocks of SCORE_BLOCK = 256 query rows, the
-remainder merged into the last (256-511 rows): scoring memory is O(511 * K * D),
-for kNN O(511 * n_train), plus the (N, K) result, whatever N. Blocks at fixed
+remainder merged into the last (256-511 rows), each written into the
+preallocated (N, K) result: scoring memory is O(511 * K * D), for kNN
+O(511 * n_train), plus the result, whatever N. Blocks at fixed
 multiples of 256 rows keep the BLAS kernels' row grouping, so scores are
 bit-identical to one whole-batch call.
 """
@@ -212,15 +225,26 @@ def assign_params(p: EquiRouterParams, values: list[np.ndarray]) -> None:
 
 
 def _model_terms(p: EquiRouterParams) -> tuple[np.ndarray, ...]:
-    """The query-independent terms (gamma, beta, E, W1^T, c) of the forward pass."""
+    """The query-independent terms (gamma, beta, E, beta - E, A, c, Wv^T) of
+    the forward pass; A (D, K * D) and c (K, D) fold the modulation and the
+    z_j and u blocks (module docstring). Wv^T is None for a no-joint head."""
     D = p.latent_dim
     M = p.model_embeddings
     G = forward(p.film_proj, M)  # (K, 2D)
+    gamma, beta = G[:, :D], G[:, D:]
     E = forward(p.model_proj, M)  # (K, D)
     first = p.score_head[0]
-    Wt = np.ascontiguousarray(first.weight.T)  # row block i acts on part i of h_j
-    c = E @ Wt[D : 2 * D] + first.bias  # the per-model constant
-    return G[:, :D], G[:, D:], E, Wt, c
+    Wz, We = first.weight[:, :D], first.weight[:, D : 2 * D]
+    rows = Wz.T[:, None, :]  # (D, 1, D): the z block's rows, shared by every model
+    c = beta @ Wz.T + E @ We.T + first.bias
+    WvT = None
+    if p.joint_feature:
+        Wu, Wv = first.weight[:, 2 * D : 3 * D], first.weight[:, 3 * D :]
+        rows = rows + E.T[:, :, None] * Wu.T[:, None, :]  # (D, K, D)
+        c += (beta * E) @ Wu.T
+        WvT = np.ascontiguousarray(Wv.T)
+    A = (gamma.T[:, :, None] * rows).reshape(D, -1)
+    return gamma, beta, E, beta - E, A, c, WvT
 
 
 def _scoring_terms(p: EquiRouterParams) -> tuple[np.ndarray, ...]:
@@ -237,11 +261,11 @@ def _scoring_terms(p: EquiRouterParams) -> tuple[np.ndarray, ...]:
     return p._terms[1]
 
 
-# Workspace slots. Forward: Zj; P, which becomes H; T and S, scratch.
-# Backward, once the relu mask is applied: H's slot holds U, X and sign(X);
-# T's holds dH (= dP); S's holds dZj; V holds |X|, then dV and dU. A no-joint
-# network uses Zj and P forward, and the first four backward.
-_ZJ, _P, _T, _S, _V = range(5)
+# Workspace slots. Forward: X, kept for the backward pass; |X| in P's slot,
+# then V = |X| Wv^T; P, which becomes H. Backward, once the relu mask is
+# applied: V's slot holds dH (= dP); P's holds |X|, then dX; X's becomes
+# sign(X). A no-joint network uses P forward, and P and V's slot backward.
+_P, _V, _X = range(3)
 
 
 def _workspace(p: EquiRouterParams, rows: int, score_rows: int) -> np.ndarray:
@@ -250,7 +274,7 @@ def _workspace(p: EquiRouterParams, rows: int, score_rows: int) -> np.ndarray:
     blocks of B <= score_rows. Slot i of a B-row pass is the i-th run of
     B * K * D values, so the buffer holds no more (B, K, D) arrays than such
     a pass would hold alive without it."""
-    train_slots, score_slots = (5, 4) if p.joint_feature else (4, 2)
+    train_slots, score_slots = (3, 3) if p.joint_feature else (2, 1)
     size = max(train_slots * rows, score_slots * score_rows)
     return np.empty(size * p.hyper.n_models * p.latent_dim)
 
@@ -277,70 +301,79 @@ def _forward_scores(
     if Q.ndim != 2 or Q.shape[1] != p.hyper.d_q:
         raise ValueError(f"query batch shape {Q.shape} does not match d_q={p.hyper.d_q}")
     D = p.latent_dim
-    gamma, beta, E, Wt, c = terms
-    shape = (Q.shape[0], len(E), D)
+    A, c, WvT = terms[4:]
+    B, K = Q.shape[0], len(c)
 
     Z, trunk_acts = forward_layers(p.trunk, Q)  # (B, D)
 
-    zj_out, p_out = _slots(workspace, shape, _ZJ, _P)
-    Zj = np.multiply(Z[:, None, :], gamma, out=zj_out)
-    Zj += beta  # (B, K, D)
-    P = np.matmul(Zj, Wt[:D], out=p_out)
+    X = None
+    if p.joint_feature:  # X = z_j - e_j = gamma * z + (beta - E)
+        gamma, shift = terms[0], terms[3]
+        abs_out, v_out, x_out = _slots(workspace, (B, K, D), _P, _V, _X)
+        X = np.einsum("bd,kd->bkd", Z, gamma, out=x_out)  # faster than broadcasting
+        X += shift
+        V = np.matmul(np.abs(X, out=abs_out), WvT, out=v_out)
+    (p_out,) = _slots(workspace, (B, K * D), _P)
+    P = np.matmul(Z, A, out=p_out).reshape(B, K, D)  # every model's z_j and u blocks
     P += c
     if p.joint_feature:
-        # U, then |X| with X = Zj - E; S holds each block's product
-        t_out, s_out = _slots(workspace, shape, _T, _S)
-        T = np.multiply(Zj, E, out=t_out)
-        S = np.matmul(T, Wt[2 * D : 3 * D], out=s_out)
-        P += S
-        np.abs(np.subtract(Zj, E, out=T), out=T)
-        P += np.matmul(T, Wt[3 * D :], out=S)
+        P += V
     H = np.maximum(P, 0.0, out=P).reshape(-1, D)  # the head's relu hidden layer
     s = forward(p.score_head[1], H)
-    cache = (trunk_acts, Z, gamma, E, Zj, H, workspace)
-    return s.reshape(Zj.shape[:2]), cache
+    cache = (trunk_acts, Z, terms, X, H, workspace)
+    return s.reshape(B, K), cache
 
 
 def _backward_scores(p: EquiRouterParams, cache, dS: np.ndarray) -> list[np.ndarray]:
     """Gradients of sum(dS * scores) w.r.t. every parameter, canonical order;
-    reuses the forward pass's workspace, if it had one."""
-    trunk_acts, Z, gamma, E, Zj, H, workspace = cache
+    reuses the forward pass's workspace, if it had one. It overwrites the
+    cached X, so a cache serves one backward pass."""
+    trunk_acts, Z, terms, X, H, workspace = cache
+    gamma, beta, E, _, A, _, _ = terms
     B, K = dS.shape
     D = p.latent_dim
-    shape = (B, K, D)
     first, last = p.score_head
     W1 = first.weight
 
-    (dh_out,) = _slots(workspace, (B * K, D), _T)
-    dH, out_w_grad, out_b_grad = backward(last, H, dS.reshape(B * K, 1), grad_x_buf=dh_out)
+    dh_out, p_out = _slots(workspace, (B * K, D), _V, _P)
+    # the output layer, D -> 1: its input gradient is an outer product
+    dS = dS.reshape(B * K, 1)
+    dH = np.einsum("ni,id->nd", dS, last.weight, out=dh_out)
+    out_w_grad, out_b_grad = dS.T @ H, dS.sum(axis=0)
     dH *= H > 0.0  # relu mask from the recorded output: dH is now dP
-    dP = dH.reshape(B, K, D)
-    dc = dP.sum(axis=0)  # (K, D)
-    w1_blocks = [dH.T @ Zj.reshape(-1, D), dc.T @ E]
-    (dzj_out,) = _slots(workspace, shape, _S)
-    dZj = np.matmul(dP, W1[:, :D], out=dzj_out)
-    dE = dc @ W1[:, D : 2 * D]  # (K, D)
+    dP = dH.reshape(B, K * D)
+    dc = dH.reshape(B, K, D).sum(axis=0)  # (K, D)
+    dZ = dP @ A.T  # (B, D)
+    dA = (Z.T @ dP).reshape(D, K, D)
+
+    # A[:, j] = gamma_j * (Wz^T + e_j * Wu^T) row-wise, and c_j = beta_j Wz^T
+    # + (beta_j * e_j) Wu^T + e_j We^T + b1: back to gamma, beta, E and W1
+    Wz, We = W1[:, :D], W1[:, D : 2 * D]
+    dGamma = np.einsum("dko,od->kd", dA, Wz)
+    dBeta = dc @ Wz
+    dE = dc @ We
     if p.joint_feature:
-        # U, X, sign(X): recomputed, so scoring need not keep them
-        u_out, v_out = _slots(workspace, shape, _P, _V)
-        T = np.multiply(Zj, E, out=u_out)
-        w1_blocks.append(dH.T @ T.reshape(-1, D))
-        np.subtract(Zj, E, out=T)
-        w1_blocks.append(dH.T @ np.abs(T, out=v_out).reshape(-1, D))
-        dV = np.matmul(dP, W1[:, 3 * D :], out=v_out)
-        dV *= np.sign(T, out=T)
-        dZj += dV
-        dE -= dV.sum(axis=0)
-        dU = np.matmul(dP, W1[:, 2 * D : 3 * D], out=dV)
-        dE += np.einsum("bkd,bkd->kd", dU, Zj)
-        dU *= E
-        dZj += dU
+        Wu = W1[:, 2 * D : 3 * D]
+        du = np.einsum("dko,od->kd", dA, Wu)
+        dGamma += E * du
+        dE += gamma * du
+    dA *= gamma.T[:, :, None]  # now the gradient of the unscaled rows
+    w1_blocks = [dA.sum(axis=1).T + dc.T @ beta, dc.T @ E]
+    if p.joint_feature:
+        w1_blocks.append(np.einsum("dko,kd->od", dA, E) + dc.T @ (beta * E))
+        dcu = dc @ Wu
+        dBeta += E * dcu
+        dE += beta * dcu
+        w1_blocks.append(dH.T @ np.abs(X.reshape(-1, D), out=p_out))
+        dX = np.matmul(dH, W1[:, 3 * D :], out=p_out).reshape(B, K, D)
+        dX *= np.sign(X, out=X)
+        dZ += np.einsum("bkd,kd->bd", dX, gamma)
+        dGamma += np.einsum("bkd,bd->kd", dX, Z)
+        dShift = dX.sum(axis=0)  # (K, D)
+        dBeta += dShift
+        dE -= dShift
     dW1 = np.concatenate(w1_blocks, axis=1)
     head_grads = [dW1, dc.sum(axis=0), out_w_grad, out_b_grad]
-
-    dGamma = np.einsum("bkd,bd->kd", dZj, Z)
-    dBeta = dZj.sum(axis=0)  # (K, D)
-    dZ = np.einsum("bkd,kd->bd", dZj, gamma)
 
     M = p.model_embeddings
     dG = np.concatenate([dGamma, dBeta], axis=1)  # (K, 2D)
@@ -360,7 +393,13 @@ def _in_blocks(score, Q: np.ndarray) -> np.ndarray:
     if n < 2 * SCORE_BLOCK:
         return score(Q)
     edges = [*range(0, n - n % SCORE_BLOCK, SCORE_BLOCK), n]
-    return np.concatenate([score(Q[a:b]) for a, b in zip(edges, edges[1:])])
+    result = None  # (N, K), written block by block: no list of blocks to join
+    for a, b in zip(edges, edges[1:]):
+        block = score(Q[a:b])
+        if result is None:
+            result = np.empty((n, *block.shape[1:]))
+        result[a:b] = block
+    return result
 
 
 def _largest_block(n: int) -> int:
@@ -407,14 +446,22 @@ def build_pair_set(table: RoutingTable, indices: np.ndarray) -> np.ndarray:
     return P / np.maximum(P.sum(axis=(1, 2)), 1)[:, None, None]
 
 
-def _pair_loss(S: np.ndarray, W: np.ndarray) -> tuple[float, np.ndarray, int]:
+def _pair_loss(
+    S: np.ndarray, W: np.ndarray, grad: bool = False
+) -> tuple[float, int, np.ndarray | None]:
     """Mean over the n queries with any pair of sum_ij W_ij L_ij, where
-    L_ij = log(1 + exp(-t_ij)) and t_ij = s_i - s_j; returns (loss, L, n),
-    loss 0 when n is 0."""
+    L_ij = log(1 + exp(-t_ij)) and t_ij = s_i - s_j; returns (loss, n, dS),
+    loss 0 when n is 0, and dS, the loss's gradient w.r.t. S, when `grad`.
+    One exp per entry serves both: with e = exp(-|t|), L = max(-t, 0) +
+    log1p(e) and sigmoid(-t) = where(t > 0, e, 1) / (1 + e), overflow-free."""
     n = int(np.count_nonzero(W.any(axis=(1, 2))))
     t = S[:, :, None] - S[:, None, :]
-    L = np.logaddexp(0.0, -t)
-    return (float(np.sum(W * L)) / n if n else 0.0), L, n
+    e = np.exp(-np.abs(t))
+    loss = float(np.sum(W * (np.maximum(-t, 0.0) + np.log1p(e)))) / n if n else 0.0
+    if not (grad and n):
+        return loss, n, None
+    G = W * (np.where(t > 0.0, e, 1.0) / (1.0 + e)) / n  # W * sigmoid(-t) / n
+    return loss, n, np.einsum("bij->bj", G) - np.einsum("bij->bi", G)
 
 
 def ranking_loss(scores: np.ndarray, pairs: np.ndarray) -> float:
@@ -422,8 +469,8 @@ def ranking_loss(scores: np.ndarray, pairs: np.ndarray) -> float:
 
     Scores (N, K) take precedence weights (N, K, K) from `build_pair_set`;
     one query's scores (K,) take an int (P, 2) pair list, which becomes the
-    weight matrix 1/|P| on the listed pairs. Stable via log1p-exp for score
-    gaps up to ~1e3; no pair at all gives 0.
+    weight matrix 1/|P| on the listed pairs. Overflow-free at any finite
+    score gap; no pair at all gives 0.
     """
     S = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(S)):
@@ -448,14 +495,13 @@ def ranking_objective(
     batch's slice of `build_pair_set`; queries without pairs are left out.
     A `_workspace` holds the network's intermediates."""
     S, cache = _forward_scores(p, Q, _model_terms(p), workspace)
-    loss, L, n = _pair_loss(S, weights)
+    loss, n, dS = _pair_loss(S, weights, grad=True)
     if n == 0:
         raise ValueError("no ranking supervision: every query has an empty pair set")
-    # W * sigmoid(-t) = W * exp(-log(1 + exp(t))), overflow-free; t_ji = -t_ij
-    # exactly, so log(1 + exp(t)) is L transposed (made contiguous, as exp's
-    # result may depend on the layout)
-    G = weights * np.exp(-np.ascontiguousarray(L.transpose(0, 2, 1))) / n
-    grads = _backward_scores(p, cache, G.sum(axis=1) - G.sum(axis=2))
+    grads = _backward_scores(p, cache, dS)
+    # the loss sees only score differences: the output bias's gradient is 0,
+    # exactly, rather than the rounding left in the sum of dS
+    grads[-1] = np.zeros_like(grads[-1])
     if weight_decay:
         plist = params_list(p)
         loss += 0.5 * weight_decay * sum(float(np.sum(v * v)) for v in plist)

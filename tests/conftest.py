@@ -7,9 +7,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 from equirouter.dataset import ModelInfo, RoutingTable, SynthConfig, generate_synthetic
 from equirouter.router import MlpHyper, train_mlp_router
+
+# every property test draws the same examples on every run: no random
+# seed, no example database carried between runs, no per-example deadline
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 def make_table(perf, cost, embeddings=None) -> RoutingTable:

@@ -1,13 +1,18 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import equirouter.evaluation as evaluation_module
 import equirouter.router as router_module
@@ -18,6 +23,7 @@ from equirouter.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_THRESHOLD,
+    ROUTER_KINDS,
     SYNTH_KEYS,
     THRESHOLD_KEYS,
     build_config,
@@ -135,6 +141,7 @@ def test_config_value_error_names_its_key(tmp_path, capsys):
         ("train.hidden", "0"),
         ("train.lr", "0"),
         ("train.lr", "nan"),
+        ("train.lr", "inf"),
         ("train.weight_decay", "-1e-4"),
         ("train.weight_decay", "inf"),
         ("diagnose.sigmas", "0,-0.1"),
@@ -156,6 +163,70 @@ def test_out_of_range_training_values_rejected_before_any_write(tmp_path, capsys
     assert main(["pipeline", "--config", cfg_path]) == EXIT_CONFIG
     assert f"error: {key} must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, error",
+    [
+        ("split.ratio", "1e308:1:1", "overflows when splitting 300 items"),
+        ("synth.n_queries", "2", "cannot split 2 items into 3 parts"),
+    ],
+)
+def test_unsplittable_table_is_rejected_before_any_write(tmp_path, capsys, key, value, error):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, SYNTH_CONFIG, **{key: value, "out": out})
+    assert main(["pipeline", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: split.ratio: ") and error in err, err
+    assert not out.exists()
+
+
+TINY_CONFIG = {
+    "synth.n_queries": "90", "synth.n_models": "3", "synth.embed_dim": "4", "synth.seed": "1",
+    "split.ratio": "1:1:1", "cost_source": "oracle", "grid_points": "5",
+    "train.latent_dim": "4", "train.model_dim": "3", "train.hidden": "4",
+    "train.epochs": "2", "train.batch_size": "16", "knn.k": "5",
+}
+# every key whose value is a number or a list of numbers
+MUTABLE_KEYS = sorted(
+    {*CONFIG_KEYS, *SYNTH_KEYS, *THRESHOLD_KEYS} - {"table", "out", "router", "cost_source"}
+)
+# the causes a numerical failure (exit 2) names
+NUMERICAL_MESSAGES = ("training diverged", "degenerate cost range", "no ranking supervision")
+
+
+@settings(max_examples=400)
+@given(
+    command=st.sampled_from(["synth", "train", "diagnose", "pipeline"]),
+    router=st.sampled_from(ROUTER_KINDS),
+    key=st.sampled_from(MUTABLE_KEYS),
+    value=st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e308", ""]),
+)
+def test_one_config_key_mutation_exits_cleanly(tmp_path_factory, command, router, key, value):
+    # a bad value exits 1 before any write, or 2 naming a numerical cause,
+    # with no numpy warning ahead of the CLI's line (warnings raise here);
+    # split.ratio takes the value as its first part (1e308 rounds the
+    # others to zero)
+    if key == "split.ratio":
+        value = f"{value}:1:1"
+    root = tmp_path_factory.mktemp("mutation")
+    out = root / "out"
+    config = {**TINY_CONFIG, "router": router, "out": str(out), key: value}
+    path = root / "exp.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--config", str(path)])
+    first = (err.getvalue().splitlines() or [""])[0]
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME, EXIT_THRESHOLD)
+    if code == EXIT_CONFIG:
+        assert first.startswith("error:") and not out.exists(), first
+    if code == EXIT_RUNTIME:
+        assert first.startswith("runtime error: ") and any(
+            first.removeprefix("runtime error: ").startswith(m) for m in NUMERICAL_MESSAGES
+        ), first
 
 
 def test_flags_override_their_config_keys(tmp_path):

@@ -207,19 +207,19 @@ def per_query_mac_counts(p) -> tuple[int, int]:
     """Reference spec: (trunk_macs, per_model_macs), the multiply-accumulate
     counts per query of `scores_batch`.
 
-    The trunk runs once per query regardless of K; per model the router
-    applies the modulation, the interaction blocks and the head. The film/proj
-    projections and the head's e_j block c depend only on the model embeddings
-    and are computed once per parameter set, so they amortize to zero per
-    query.
+    The trunk runs once per query regardless of K. The modulation and the
+    head's z_j and z_j * e_j blocks are affine in z, so they fold into one
+    D x D matrix per model; the joint head adds gamma * z + (beta - e_j),
+    its absolute value and the |z_j - e_j| block, and both heads the output
+    layer D -> 1. The film/proj projections, the folded matrices and the
+    per-model constants depend only on the model embeddings and are computed
+    once per parameter set, so they amortize to zero per query.
     """
     trunk = sum(l.in_dim * l.out_dim for l in p.trunk)
     D = p.latent_dim
-    per_model = 2 * D  # gamma * z + beta, and the head's output layer D -> 1
+    per_model = D * D + D  # the folded matrix, and the head's output layer
     if p.joint_feature:
-        per_model += 2 * D + 3 * D * D  # z_j * e_j, |z_j - e_j|; blocks z, u, v
-    else:
-        per_model += D * D  # the head's z_j block
+        per_model += 2 * D + D * D  # gamma * z + (beta - e_j), |.|; block v
     return trunk, per_model
 
 
@@ -237,10 +237,11 @@ def test_per_query_mac_counts_linear_in_k():
 @pytest.mark.parametrize("joint", [True, False])
 def test_per_query_mac_counts_exact(joint):
     # d_q=5, D=8: the trunk is 5*8 + 8*8; per model, the joint head applies
-    # D (modulation) + 2D (interaction) + 3*D*D (z_j, u, v blocks) + D (output),
-    # the no-joint head D + D*D + D; the e_j block is per parameter set
+    # D*D (folded z_j and u blocks) + 2D (X and |X|) + D*D (v block) + D
+    # (output), 2D^2 + 3D; the no-joint head D*D + D; the e_j block is per
+    # parameter set
     p = init_equirouter(tiny_hyper(5, 4), joint_feature=joint)
-    per_model = 8 + 2 * 8 + 3 * 64 + 8 if joint else 8 + 64 + 8
+    per_model = 64 + 2 * 8 + 64 + 8 if joint else 64 + 8
     assert per_query_mac_counts(p) == (5 * 8 + 8 * 8, per_model)
 
 
@@ -627,14 +628,23 @@ def test_dense_precedence_matches_per_query_pairs(n, k, seed):
 
 
 def _ranking_objective_spec(p, Q, W):
-    """The ranking objective with log(1 + exp(t)) computed on its own, as a
-    second logaddexp call, rather than as the transpose of log(1 + exp(-t))."""
+    """The ranking objective with log(1 + exp(-t)) and sigmoid(-t) written
+    out on each side of t = 0, each side with an exp of its own, rather than
+    from one shared exp(-|t|). The loss sees only score differences, so the
+    output bias's gradient is 0."""
     S, cache = _forward_scores(p, Q, _model_terms(p))
     n = int(np.count_nonzero(W.any(axis=(1, 2))))
     t = S[:, :, None] - S[:, None, :]
-    loss = float(np.sum(W * np.logaddexp(0.0, -t))) / n
-    G = W * np.exp(-np.logaddexp(0.0, t)) / n
-    return loss, _backward_scores(p, cache, G.sum(axis=1) - G.sum(axis=2))
+    pos, neg = t > 0, t <= 0
+    e_pos, e_neg = np.exp(-t[pos]), np.exp(t[neg])
+    L, sigmoid = np.empty_like(t), np.empty_like(t)
+    L[pos], L[neg] = np.log1p(e_pos), -t[neg] + np.log1p(e_neg)
+    sigmoid[pos], sigmoid[neg] = e_pos / (1.0 + e_pos), 1.0 / (1.0 + e_neg)
+    loss = float(np.sum(W * L)) / n
+    G = W * sigmoid / n
+    grads = _backward_scores(p, cache, np.einsum("bij->bj", G) - np.einsum("bij->bi", G))
+    grads[-1] = np.zeros(1)
+    return loss, grads
 
 
 @pytest.mark.parametrize("b, k", [(1, 2), (7, 3), (13, 5), (69, 11), (255, 6)])
@@ -756,6 +766,20 @@ def test_train_equirouter_deterministic(tmp_path):
     save_router(tmp_path / "a.ckpt", a)
     save_router(tmp_path / "b.ckpt", b)
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_ranking_training_keeps_the_output_bias_at_exactly_zero(small_synth):
+    # the pair loss sees only score differences, so the output bias gets an
+    # exact 0 gradient and stays at its initial 0 (with K > 2 the summed
+    # score gradient is 0 only up to rounding); the MSE ablation's moves
+    t = small_synth
+    split = make_split(t.n_queries, (3, 1, 6), seed=42)
+    hyper = tiny_hyper(t.embed_dim, t.n_models, epochs=3)
+    for joint in (True, False):
+        p, _ = train_equirouter(t, split, hyper, joint_feature=joint)
+        assert p.score_head[1].bias.tolist() == [0.0]
+    p, _ = train_mse_ablation(t, split, hyper)
+    assert p.score_head[1].bias[0] != 0.0
 
 
 @pytest.mark.parametrize("bad", [0, 6, 12])
