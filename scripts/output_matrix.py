@@ -40,10 +40,19 @@ to this script also run on the base. It then runs the matrix on this tree
 into OUT/current and compares the two directories file by file. It prints
 every path that differs and every step the base could not run as expected,
 and exits 1 on any difference that no `--expect GLOB` matches (fnmatch on the
-path relative to OUT/base, for example `--expect '*/table.bin'`), or if a
-step of this tree exits otherwise than expected.
+path relative to OUT/base, for example `--expect '*/table.bin'`), on a glob
+that matches no differing path, or if a step of this tree exits otherwise
+than expected.
+
+`--expect-file PATH` adds the globs of a file, one per line; blank lines and
+lines starting with `#` are skipped. A change that means to alter outputs
+declares them in scripts/expected_output_changes.txt, which CI passes with the
+pull request's base revision, and the next change empties it again: since an
+unused glob fails the run, a declaration cannot outlive its change.
 
     python3 scripts/output_matrix.py OUT --base HEAD~1
+    python3 scripts/output_matrix.py OUT --base main \
+        --expect-file scripts/expected_output_changes.txt
 """
 
 import argparse
@@ -216,16 +225,34 @@ def compare_with_base(out: Path, rev: str, expect: list[str], repo: Path = ROOT)
         for line in run_matrix(out / "base", tree):
             print(f"base {rev}: {line}")
     wrong = run_matrix(out / "current", repo)
-    for path in differing_paths(out / "base", out / "current"):
-        if any(fnmatch(path, glob) for glob in expect):
+    return wrong + compare_trees(out / "base", out / "current", expect)
+
+
+def compare_trees(base: Path, current: Path, expect: list[str]) -> list[str]:
+    """Print every path that differs between the two output trees; return a
+    line for each difference that no glob in `expect` matches and for each
+    glob that matches no difference."""
+    wrong, used = [], set()
+    for path in differing_paths(base, current):
+        matched = {glob for glob in expect if fnmatch(path, glob)}
+        used |= matched
+        if matched:
             print(f"differs (expected): {path}")
         else:
             print(f"differs: {path}")
             wrong.append(f"{path} differs from the base")
-    return wrong
+    return wrong + [f"--expect {glob!r} matches no differing path"
+                    for glob in expect if glob not in used]
 
 
-def main() -> None:
+def read_expect_file(path: Path) -> list[str]:
+    """The globs of an --expect-file: one per line, without blank lines and
+    `#` comments."""
+    lines = (line.strip() for line in path.read_text().splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("out", type=Path, help="output directory; must be new or empty")
@@ -233,17 +260,20 @@ def main() -> None:
                     help="git revision to compare against, file by file")
     ap.add_argument("--expect", metavar="GLOB", action="append", default=[],
                     help="a path that may differ from the base (with --base)")
-    args = ap.parse_args()
+    ap.add_argument("--expect-file", metavar="PATH", type=Path,
+                    help="a file of --expect globs, one per line (with --base)")
+    args = ap.parse_args(argv)
     out = args.out
     if out.exists() and any(out.iterdir()):
         sys.exit(f"{out} is not empty")
-    if args.expect and args.base is None:
-        sys.exit("--expect needs --base")
+    if (args.expect or args.expect_file) and args.base is None:
+        sys.exit("--expect and --expect-file need --base")
+    expect = args.expect + (read_expect_file(args.expect_file) if args.expect_file else [])
     start = time.perf_counter()
     if args.base is None:
         wrong = run_matrix(out, ROOT)
     else:
-        wrong = compare_with_base(out, args.base, args.expect)
+        wrong = compare_with_base(out, args.base, expect)
     print(f"wrote {out} in {time.perf_counter() - start:.1f} s")
     if wrong:
         sys.exit("unexpected results: " + "; ".join(wrong))

@@ -57,7 +57,6 @@ from .oracle import (
     feasible_set,
     margin_stats,
     mc_selection_frequencies,
-    oracle_select,
 )
 from .router import (
     CostPredictorParams,
@@ -68,7 +67,6 @@ from .router import (
     MlpRouterParams,
     OracleRouter,
     RouterDecision,
-    build_pairs,
     init_equirouter,
     load_router,
     predict_costs,

@@ -14,8 +14,10 @@ On-disk layout of a table directory::
     split.json     {"seed": int, "train": [...], "valid": [...], "test": [...]}
     table.bin      optional binary sidecar of the three row files, see below
 
-Floats are written with ``repr``, the shortest representation that parses
-back to the identical 64-bit value, so save -> load is bit-exact.
+Floats are written as ``repr`` writes them, the shortest representation that
+parses back to the identical 64-bit value, so save -> load is bit-exact. The
+row files' floats come from `_floatfmt.format_rows`, which produces the same
+bytes from whole blocks of array operations.
 
 save_table and load_table stream the row files in blocks of IO_BLOCK rows:
 besides the table itself, they hold the Python objects of one block and, while
@@ -46,6 +48,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._floatfmt import format_rows
 from .neuralnet import load_checkpoint, save_checkpoint
 from .rng import STREAM_SPLIT, STREAM_SYNTH, make_rng
 
@@ -259,20 +262,19 @@ def save_table(table: RoutingTable, path: Path | str) -> None:
     ]
     (root / "models.json").write_text(json.dumps(models, sort_keys=True, indent=2) + "\n")
     # json.dumps writes a finite float as its repr, so each line is built
-    # directly; validate_table has already rejected non-finite values
+    # directly around format_rows' text; validate_table has already rejected
+    # non-finite values
     with (root / "queries.jsonl").open("w") as fh:
         for s in range(0, table.n_queries, IO_BLOCK):
+            rows = format_rows(table.embeddings[s:s + IO_BLOCK], ", ").decode("ascii")
             fh.writelines(
-                '{"query_id": ' + json.dumps(qid)
-                + ', "embedding": [' + ", ".join(map(repr, emb)) + "]}\n"
-                for qid, emb in zip(table.query_ids[s:s + IO_BLOCK],
-                                    table.embeddings[s:s + IO_BLOCK].tolist())
+                '{"query_id": ' + json.dumps(qid) + ', "embedding": [' + row + "]}\n"
+                for qid, row in zip(table.query_ids[s:s + IO_BLOCK], rows.split("\n"))
             )
     for name, mat in (("perf", table.perf), ("cost", table.cost)):
-        with (root / f"{name}.csv").open("w") as fh:
+        with (root / f"{name}.csv").open("wb") as fh:
             for s in range(0, len(mat), IO_BLOCK):
-                fh.writelines(",".join(map(repr, row)) + "\n"
-                              for row in mat[s:s + IO_BLOCK].tolist())
+                fh.write(format_rows(mat[s:s + IO_BLOCK], ","))
     # the ids travel as one string and their lengths, not as a JSON list,
     # whose encoder would hold several Python objects per row
     ids = "".join(map(str, table.query_ids))

@@ -130,12 +130,6 @@ def select_under_budget_batch(
     return prefix_table(scores, filter_costs).select(budget)
 
 
-def oracle_select(table: RoutingTable, n: int, budget: float) -> int:
-    """Budget-feasible model with highest true performance, cheapest on ties."""
-    choice, _ = select_under_budget(table.perf[n], table.cost[n], budget)
-    return choice
-
-
 @dataclass(frozen=True)
 class MarginStats:
     """Distribution of top-two performance gaps at one budget."""

@@ -10,7 +10,8 @@ import pytest  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
 from equirouter.dataset import ModelInfo, RoutingTable, SynthConfig, generate_synthetic
-from equirouter.router import MlpHyper, train_mlp_router
+from equirouter.oracle import select_under_budget
+from equirouter.router import MlpHyper, _precedence, train_mlp_router
 
 # every property test draws the same examples on every run: no random
 # seed, no example database carried between runs, no per-example deadline
@@ -50,6 +51,23 @@ def margin(table: RoutingTable, n: int, budget: float) -> float | None:
         return None
     a = np.sort(table.perf[n, members])
     return float(a[-1] - a[-2])
+
+
+def oracle_select(table: RoutingTable, n: int, budget: float) -> int:
+    """Reference spec of one query's oracle pick: the budget-feasible model
+    with the highest true performance, cheapest on ties."""
+    choice, _ = select_under_budget(table.perf[n], table.cost[n], budget)
+    return choice
+
+
+def build_pairs(a, c) -> np.ndarray:
+    """Reference spec of one query's ordered pairs (i, j), i ranked above j:
+    the nonzero pattern of its precedence matrix, as a (P, 2) int array."""
+    a = np.asarray(a, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    if a.shape != c.shape or a.ndim != 1:
+        raise ValueError("performance and cost rows must be equal-length vectors")
+    return np.argwhere(_precedence(a, c))
 
 
 def constant_policy_router(table, favored=0):

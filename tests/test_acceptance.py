@@ -17,7 +17,6 @@ from equirouter.cli import main as cli_main
 from equirouter.neuralnet import grad_check
 from equirouter.oracle import (
     mc_selection_frequencies,
-    oracle_select,
     select_under_budget_batch,
 )
 from equirouter.rng import make_rng
@@ -42,7 +41,7 @@ from equirouter.router import (
     train_mse_ablation,
 )
 
-from conftest import make_table
+from conftest import make_table, oracle_select
 
 
 def report(num, ok, text):

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -991,3 +992,40 @@ def test_output_matrix_refuses_an_unknown_base_revision(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="cannot check out 'no-such-rev'"):
         om.compare_with_base(tmp_path / "out", "no-such-rev", [], repo)
     assert list((repo / ".perfbench-work").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "current, declared, error",
+    [
+        pytest.param("a\n", "# nothing declared\n", None, id="identical"),
+        pytest.param("b\n", "# a comment\n\n*/value.txt\n", None, id="declared"),
+        pytest.param("b\n", "", "step/value.txt differs from the base", id="undeclared"),
+        pytest.param("a\n", "*/value.txt\n", "--expect '*/value.txt' matches no differing path",
+                     id="unused-glob"),
+    ],
+)
+def test_output_matrix_expect_file(tmp_path, monkeypatch, current, declared, error):
+    # the base's and this tree's outputs are two directories; main() exits
+    # with a message (status 1) on an undeclared difference or an unused glob
+    om = _load_output_matrix()
+    for side, text in (("base", "a\n"), ("current", current)):
+        (tmp_path / side / "step").mkdir(parents=True)
+        (tmp_path / side / "step" / "value.txt").write_text(text)
+    sources = {"base-tree": tmp_path / "base", om.ROOT: tmp_path / "current"}
+    monkeypatch.setattr(om, "base_worktree",
+                        lambda rev, repo: contextlib.nullcontext("base-tree"))
+
+    def run_matrix(out, tree):  # the tree's outputs are a directory to copy
+        shutil.copytree(sources[tree], out)
+        return []
+
+    monkeypatch.setattr(om, "run_matrix", run_matrix)
+    declaration = tmp_path / "expected.txt"
+    declaration.write_text(declared)
+    argv = [str(tmp_path / "out"), "--base", "HEAD", "--expect-file", str(declaration)]
+    if error is None:
+        om.main(argv)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            om.main(argv)
+        assert isinstance(exc.value.code, str) and error in exc.value.code

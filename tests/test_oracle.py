@@ -11,7 +11,6 @@ from equirouter.oracle import (
     feasible_set,
     margin_stats,
     mc_selection_frequencies,
-    oracle_select,
     prefix_table,
     select_under_budget,
     select_under_budget_batch,
@@ -19,7 +18,7 @@ from equirouter.oracle import (
 )
 from equirouter.router import OracleRouter
 
-from conftest import make_table, margin
+from conftest import make_table, margin, oracle_select
 
 
 def one_query_table(a, c):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from equirouter.dataset import ModelInfo, RoutingTable, SynthConfig, generate_synthetic, make_split
 from equirouter.neuralnet import grad_check, load_checkpoint, save_checkpoint
-from equirouter.oracle import oracle_select, select_under_budget
+from equirouter.oracle import select_under_budget
 import equirouter.neuralnet as neuralnet_module
 import equirouter.router as router_module
 from equirouter.rng import make_rng
@@ -32,7 +32,6 @@ from equirouter.router import (
     _workspace,
     assign_params,
     build_pair_set,
-    build_pairs,
     init_equirouter,
     knn_scores,
     load_router,
@@ -53,7 +52,7 @@ from equirouter.router import (
     train_mse_ablation,
 )
 
-from conftest import make_table
+from conftest import build_pairs, make_table, oracle_select
 
 
 def tiny_hyper(d_q, k, seed=0, **kw):
@@ -313,8 +312,10 @@ def test_scores_batch_block_sizes(monkeypatch, n, sizes):
 
 
 def test_scores_batch_memory_flat_in_batch_size():
-    # beyond the (N, K) result itself, scoring holds one block's arrays
+    # beyond the (N, K) result itself, scoring holds one block's arrays; the
+    # one-time model-term cache is built before either measurement
     p = init_equirouter(EquiHyper(d_q=24, n_models=11, d_m=16, latent_dim=64))
+    scores_batch(p, make_rng(2, 0).standard_normal((1, 24)))
 
     def working_memory(n):
         Q = make_rng(2, 0).standard_normal((n, 24))
