@@ -45,7 +45,6 @@ from .neuralnet import (
     adam_step,
     backward,
     forward,
-    grad_check,
     init_adam,
     init_dense,
     load_checkpoint,
@@ -56,7 +55,6 @@ from .oracle import (
     MarginStats,
     feasible_set,
     margin_stats,
-    mc_selection_frequencies,
 )
 from .router import (
     CostPredictorParams,

@@ -27,9 +27,10 @@ neither the bytes written nor the values loaded nor any error message.
 
 table.bin is a `neuralnet.save_checkpoint` file that save_table writes last,
 after removing any old one. Its header records a format version, the SHA-256
-of queries.jsonl, perf.csv and cost.csv as written, the SHA-256 of its array
-payload and the query ids joined into one string; its arrays are the
-embeddings, perf, cost and the ids' lengths, which cut that string.
+of queries.jsonl, perf.csv and cost.csv, taken from the bytes as they are
+written (nothing is read back), the SHA-256 of its array payload and the
+query ids joined into one string; its arrays are the embeddings, perf, cost
+and the ids' lengths, which cut that string.
 load_table uses it only when all four digests match (a content check, like a
 hash-checked .pyc; modification times are not trusted), reading each array
 straight into its final buffer; any mismatch, unreadable file or unknown
@@ -40,6 +41,7 @@ load_table never writes, and deleting table.bin only makes loading slower.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -264,17 +266,22 @@ def save_table(table: RoutingTable, path: Path | str) -> None:
     # json.dumps writes a finite float as its repr, so each line is built
     # directly around format_rows' text; validate_table has already rejected
     # non-finite values
-    with (root / "queries.jsonl").open("w") as fh:
-        for s in range(0, table.n_queries, IO_BLOCK):
-            rows = format_rows(table.embeddings[s:s + IO_BLOCK], ", ").decode("ascii")
-            fh.writelines(
-                '{"query_id": ' + json.dumps(qid) + ', "embedding": [' + row + "]}\n"
-                for qid, row in zip(table.query_ids[s:s + IO_BLOCK], rows.split("\n"))
-            )
-    for name, mat in (("perf", table.perf), ("cost", table.cost)):
-        with (root / f"{name}.csv").open("wb") as fh:
-            for s in range(0, len(mat), IO_BLOCK):
-                fh.write(format_rows(mat[s:s + IO_BLOCK], ","))
+    digests = {}
+    with _HashedFile(root / "queries.jsonl") as raw:
+        with io.TextIOWrapper(io.BufferedWriter(raw), encoding="ascii") as fh:
+            for s in range(0, table.n_queries, IO_BLOCK):
+                rows = format_rows(table.embeddings[s:s + IO_BLOCK], ", ").decode("ascii")
+                fh.writelines(
+                    '{"query_id": ' + json.dumps(qid) + ', "embedding": [' + row + "]}\n"
+                    for qid, row in zip(table.query_ids[s:s + IO_BLOCK], rows.split("\n"))
+                )
+        digests["queries.jsonl"] = raw.digest.hexdigest()
+    for name, mat in (("perf.csv", table.perf), ("cost.csv", table.cost)):
+        with _HashedFile(root / name) as raw:
+            with io.BufferedWriter(raw) as fh:
+                for s in range(0, len(mat), IO_BLOCK):
+                    fh.write(format_rows(mat[s:s + IO_BLOCK], ","))
+            digests[name] = raw.digest.hexdigest()
     # the ids travel as one string and their lengths, not as a JSON list,
     # whose encoder would hold several Python objects per row
     ids = "".join(map(str, table.query_ids))
@@ -283,11 +290,26 @@ def save_table(table: RoutingTable, path: Path | str) -> None:
     header = {
         "format": SIDECAR_FORMAT,
         "version": SIDECAR_VERSION,
-        "sha256": {name: _file_sha256(root / name) for name in ROW_FILES},
+        "sha256": digests,
         "payload_sha256": _payload_sha256(arrays),
         "query_ids": ids,
     }
     save_checkpoint(root / SIDECAR, header, arrays)
+
+
+class _HashedFile(io.FileIO):
+    """A file opened for writing that hashes every byte written to it, so
+    table.bin records the digests of the row files without reading them
+    back."""
+
+    def __init__(self, path: Path):
+        super().__init__(path, "w")
+        self.digest = hashlib.sha256()
+
+    def write(self, data) -> int:
+        n = super().write(data)
+        self.digest.update(memoryview(data)[:n])
+        return n
 
 
 def _file_sha256(path: Path) -> str:

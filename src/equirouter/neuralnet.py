@@ -1,4 +1,4 @@
-"""Dense-network numerics: exact backprop, Adam, gradient checking, checkpoints.
+"""Dense-network numerics: exact backprop, Adam, checkpoints.
 
 Everything runs in 64-bit floats. Layers are plain dataclasses over numpy
 arrays, and every network in the package backpropagates through `backward`:
@@ -6,11 +6,12 @@ arrays, and every network in the package backpropagates through `backward`:
 and `backward_layers` replays them in reverse. A relu layer's backward reads
 its mask from the recorded output (y > 0 exactly where the pre-activation
 is > 0), so no pre-activation is recomputed. Parameters travel as lists of
-arrays in a fixed order, so the gradient checker and the checkpoint format
-agree on the coordinate layout; Adam updates one flat vector, those arrays
-concatenated in the same order, and returns a new one. Initialization is
-uniform in +-sqrt(6 / (fan_in + fan_out)) from a seeded Philox stream;
-training is single-threaded and bit-reproducible for a fixed seed.
+arrays in a fixed order, so the test suite's gradient checker and the
+checkpoint format agree on the coordinate layout; Adam updates one flat
+vector, those arrays concatenated in the same order, and returns a new one.
+Initialization is uniform in +-sqrt(6 / (fan_in + fan_out)) from a seeded
+Philox stream; training is single-threaded and bit-reproducible for a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -184,73 +185,6 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> np.ndarr
     if state.weight_decay:
         new = new - state.learning_rate * state.weight_decay * theta
     return new
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    max_rel_error: float
-    n_coords: int
-    worst_param: int
-    worst_coord: int
-    analytic_at_worst: float
-    numeric_at_worst: float
-    passed: bool
-
-
-def grad_check(
-    fn: Callable[[list[np.ndarray]], tuple[float, list[np.ndarray]]],
-    params: Sequence[np.ndarray],
-    h: float = 1e-5,
-    rel_tol: float = 1e-4,
-    max_coords: int | None = None,
-    seed: int = 0,
-) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    `fn(params)` must return (loss, grads). Each checked coordinate is
-    perturbed by +-h and the relative error uses the floor
-    max(|analytic|, |numeric|, 1e-6) so coordinates whose gradient is below
-    float roundoff of the loss do not dominate.
-    """
-    if h <= 0:
-        raise ValueError("finite-difference step h must be positive")
-    params = [np.array(p, dtype=np.float64) for p in params]
-    loss0, grads = fn(params)
-    if not np.isfinite(loss0):
-        raise ValueError(f"loss is not finite: {loss0}")
-
-    coords = [(pi, ci) for pi, p in enumerate(params) for ci in range(p.size)]
-    if max_coords is not None and max_coords < len(coords):
-        from .rng import STREAM_GRADCHECK, make_rng
-
-        pick = make_rng(seed, STREAM_GRADCHECK).choice(
-            len(coords), size=max_coords, replace=False
-        )
-        coords = [coords[i] for i in sorted(pick)]
-
-    worst = (0.0, -1, -1, 0.0, 0.0)
-    for pi, ci in coords:
-        flat = params[pi].reshape(-1)
-        orig = flat[ci]
-        flat[ci] = orig + h
-        lp, _ = fn(params)
-        flat[ci] = orig - h
-        lm, _ = fn(params)
-        flat[ci] = orig
-        numeric = (lp - lm) / (2.0 * h)
-        analytic = grads[pi].reshape(-1)[ci]
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
-        if rel > worst[0]:
-            worst = (rel, pi, ci, float(analytic), float(numeric))
-    return GradCheckReport(
-        max_rel_error=worst[0],
-        n_coords=len(coords),
-        worst_param=worst[1],
-        worst_coord=worst[2],
-        analytic_at_worst=worst[3],
-        numeric_at_worst=worst[4],
-        passed=worst[0] < rel_tol,
-    )
 
 
 def save_checkpoint(

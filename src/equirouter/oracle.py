@@ -1,4 +1,4 @@
-"""Ground-truth routing rule, true-performance margins, Monte Carlo win rates.
+"""Ground-truth routing rule and true-performance margins.
 
 The oracle picks, per query and budget, the feasible model with the highest
 true performance, breaking ties by lowest cost and then lowest index. The
@@ -12,12 +12,15 @@ the prefix a model's position already ranks it by (cost, index). So the
 first maximum score of the prefix is the (max score, min cost, min index)
 choice, and the clamped fallback, the cheapest model with the lowest index,
 is the first model of the order. A running argmax gives the choice for every
-prefix length at once (`prefix_table`); any budget is then a count of
-affordable models and a lookup. `PrefixTable.select` decides one budget or a
-block of budgets at once, summing each model's row of filter-cost
-comparisons, so the affordable count, the NaN rule and the clamp are written
-only there. The rule only compares and gathers, so it is exact: no
-arithmetic touches a score or cost.
+prefix length at once (`prefix_table`). It is built model-major: the sorted
+scores are one (K, N) array whose row m holds the score of every query's
+(m + 1)-th cheapest model, and K - 1 steps of whole-row operations across
+all N queries carry the running maximum and the choice from one prefix
+length to the next. Any budget is then a count of affordable models and a
+lookup. `PrefixTable.select` decides one budget or a block of budgets at
+once, summing each model's row of filter-cost comparisons, so the affordable
+count, the NaN rule and the clamp are written only there. The rule only
+compares and gathers, so it is exact: no arithmetic touches a score or cost.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import RoutingTable
-from .rng import STREAM_MC, make_rng
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,42 +82,60 @@ def select_under_budget(
 @dataclass(frozen=True, eq=False)
 class PrefixTable:
     """The routing rule's choice for every affordable prefix of each query's
-    (filter cost, index)-sorted models."""
+    (filter cost, index)-sorted models, stored model-major."""
 
     model_costs: np.ndarray  # (K, N): filter costs, one row per model
-    choices: np.ndarray  # (N, K): column m is the choice when m + 1 models are affordable
+    prefix_choices: np.ndarray  # (K, N): row c - 1 holds the choices when c models are affordable
+
+    @property
+    def choices(self) -> np.ndarray:
+        """(N, K) view: column m is the choice when m + 1 models are affordable."""
+        return self.prefix_choices.T
 
     def select(self, budgets: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(choices, clamped) at one budget, each of shape (N,), or at a block
         of B budgets, each of shape (B, N). A NaN budget affords nothing, so
         every row clamps; a NaN filter cost is never affordable."""
         budgets = np.asarray(budgets, dtype=np.float64)[..., None]
-        N, K = self.choices.shape
+        K, N = self.prefix_choices.shape
         count = np.zeros(budgets.shape[:-1] + (N,), dtype=np.min_scalar_type(K))
         for costs in self.model_costs:
             # NaN compares false; a uint8 view adds without a cast
             count += (costs <= budgets).view(np.uint8)
         clamped = count == 0
-        # row n's choice at count c sits at flat index n * K + c - 1 of
-        # choices; a count of 0 clamps to column 0, the cheapest model
-        index = np.maximum(count, 1) + np.arange(-1, N * K - 1, K)
-        return np.take(self.choices, index, mode="clip"), clamped
+        # query n's choice at count c sits at flat index (c - 1) * N + n of
+        # prefix_choices; a count of 0 clamps to row 0, the cheapest model
+        index = np.multiply(np.maximum(count, 1) - 1, N, dtype=np.intp)
+        index += np.arange(N)
+        return np.take(self.prefix_choices, index, mode="clip"), clamped
 
 
 def prefix_table(scores: np.ndarray, filter_costs: np.ndarray) -> PrefixTable:
     """Build the PrefixTable of (N, K) score and cost matrices: a stable sort
-    by cost, then a running first-argmax of the sorted scores."""
+    by cost, then a running first-argmax of the sorted scores, one model-major
+    step per prefix length across all queries."""
     filter_costs = np.asarray(filter_costs)
     _check_scores(scores)
-    order = np.argsort(filter_costs, axis=1, kind="stable")
-    ranked = np.take_along_axis(np.asarray(scores), order, axis=1)
-    # a position opens a new maximum when it strictly beats every earlier one;
-    # the first maximum of a prefix is the last such position inside it
-    record = np.ones(ranked.shape, dtype=bool)
-    record[:, 1:] = ranked[:, 1:] > np.maximum.accumulate(ranked, axis=1)[:, :-1]
-    first_max = np.maximum.accumulate(np.where(record, np.arange(ranked.shape[1]), 0), axis=1)
-    return PrefixTable(np.ascontiguousarray(filter_costs.T),
-                       np.take_along_axis(order, first_max, axis=1))
+    N, K = filter_costs.shape
+    # row m holds every query's (m + 1)-th model in (cost, index) order
+    order = np.ascontiguousarray(np.argsort(filter_costs, axis=1, kind="stable").T)
+    ranked = np.take(scores, order + np.arange(0, N * K, K))
+    # model indices in the narrowest unsigned type, whose wrap-around keeps
+    # the branch-free blend below exact
+    choices = order.astype(np.min_scalar_type(K))
+    del order  # freed before the final intp copy of choices is made
+    best = ranked[0].copy()
+    for m in range(1, K):
+        # a model opens a new maximum only when it strictly beats every
+        # earlier one; otherwise the prefix keeps the shorter prefix's choice
+        kept = (ranked[m] <= best).view(np.uint8)
+        np.maximum(best, ranked[m], out=best)
+        # choices[m] = choices[m - 1] where kept; on random masks this
+        # multiply-add is about ten times faster than np.copyto(where=)
+        step = choices[m - 1] - choices[m]
+        step *= kept
+        choices[m] += step
+    return PrefixTable(np.ascontiguousarray(filter_costs.T), choices.astype(np.intp))
 
 
 def select_under_budget_batch(
@@ -158,34 +178,6 @@ def margin_stats(
     if 0.0 not in cdf:
         cdf[0.0] = tie_rate
     return MarginStats(margins=margins, tie_rate=tie_rate, cdf_at=cdf)
-
-
-def mc_selection_frequencies(
-    a: np.ndarray, sigma: float, trials: int, seed: int
-) -> np.ndarray:
-    """Empirical win frequencies of argmax(a + noise) over repeated trials.
-
-    Noise is i.i.d. N(0, sigma^2) per model per trial; exact argmax ties go
-    to the lowest index. Frequencies sum to 1.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.size == 0:
-        raise ValueError("mean vector must be nonempty")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
-    rng = make_rng(seed, STREAM_MC)
-    wins = np.zeros(a.size, dtype=np.int64)
-    # chunked so trials=1e5 x K stays cache-friendly
-    chunk = 65536
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        noisy = a[None, :] + sigma * rng.standard_normal((m, a.size))
-        wins += np.bincount(np.argmax(noisy, axis=1), minlength=a.size)
-        done += m
-    return wins / trials
 
 
 def write_margin_cdf_csv(stats: MarginStats, path: Path | str) -> None:

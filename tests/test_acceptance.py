@@ -14,11 +14,7 @@ import pytest
 import equirouter as eq
 from equirouter import evaluation as ev
 from equirouter.cli import main as cli_main
-from equirouter.neuralnet import grad_check
-from equirouter.oracle import (
-    mc_selection_frequencies,
-    select_under_budget_batch,
-)
+from equirouter.oracle import select_under_budget_batch
 from equirouter.rng import make_rng
 from equirouter.router import (
     EquiHyper,
@@ -41,7 +37,7 @@ from equirouter.router import (
     train_mse_ablation,
 )
 
-from conftest import make_table, oracle_select
+from conftest import grad_check, make_table, mc_selection_frequencies, oracle_select
 
 
 def report(num, ok, text):

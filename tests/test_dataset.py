@@ -624,6 +624,21 @@ def test_save_table_replaces_the_sidecar_and_load_writes_nothing(tmp_path, table
     assert _saved_bytes(tmp_path / "t") == before
 
 
+def test_save_table_hashes_the_row_files_as_written(tmp_path, monkeypatch, table30):
+    # the digests come from the bytes on their way out, across row blocks,
+    # and equal the digests of the files read back
+    monkeypatch.setattr(dataset_module, "IO_BLOCK", 4)
+    monkeypatch.setattr(dataset_module, "_file_sha256",
+                        lambda path: pytest.fail(f"save_table read {path.name} back"))
+    root = tmp_path / "t"
+    save_table(table30, root)
+    monkeypatch.undo()
+    header, _ = load_checkpoint(root / SIDECAR)
+    assert header["sha256"] == {
+        name: dataset_module._file_sha256(root / name) for name in dataset_module.ROW_FILES
+    }
+
+
 @pytest.mark.parametrize("n", [30, 3000])
 def test_sidecar_load_parses_no_row(tmp_path, monkeypatch, n):
     # two json.loads calls whatever the row count: models.json and the

@@ -11,13 +11,14 @@ from equirouter.neuralnet import (
     adam_step,
     backward,
     forward,
-    grad_check,
     init_adam,
     init_dense,
     load_checkpoint,
     save_checkpoint,
 )
 from equirouter.rng import make_rng
+
+from conftest import grad_check
 
 
 # ---------------------------------------------------------------------------

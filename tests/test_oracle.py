@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from equirouter.dataset import SynthConfig, generate_synthetic
 from equirouter.evaluation import noise_sensitivity, sweep
 from equirouter.oracle import (
     feasible_set,
     margin_stats,
-    mc_selection_frequencies,
     prefix_table,
     select_under_budget,
     select_under_budget_batch,
@@ -18,7 +18,7 @@ from equirouter.oracle import (
 )
 from equirouter.router import OracleRouter
 
-from conftest import make_table, margin, oracle_select
+from conftest import make_table, margin, mc_selection_frequencies, oracle_select, prefix_choices
 
 
 def one_query_table(a, c):
@@ -145,6 +145,31 @@ def test_select_matches_exhaustive_enumeration(n, k, seed, budget):
         curve = sweep(OracleRouter(), t, rows, [b])
         assert curve.calls.tolist() == [np.bincount(want, minlength=k).tolist()]
         assert curve.clamped.tolist() == [sum(want_clamped)]
+
+
+# scores and costs drawn mostly from a few values, so ties are common
+TIED_SCORES = [-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, math.inf]
+TIED_COSTS = [math.nan, 0.5, 1.0, 2.0, math.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.sampled_from([(1, 1), (1, 300), (3, 300)])
+    | st.tuples(st.integers(1, 8), st.integers(1, 12)),
+)
+def test_prefix_table_matches_the_row_wise_reference(data, shape):
+    """The model-major running argmax gives exactly the row-wise reference
+    choices: tied scores and costs, +-inf scores, NaN costs, one query, one
+    model and 300 models (a uint16 count)."""
+    scores = data.draw(arrays(np.float64, shape, elements=st.sampled_from(TIED_SCORES)
+                              | st.floats(allow_nan=False)))
+    costs = data.draw(arrays(np.float64, shape, elements=st.sampled_from(TIED_COSTS)
+                             | st.floats()))
+    want = prefix_choices(scores, costs)
+    got = prefix_table(scores, costs).choices
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_select_rejects_nan_scores():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equirouter.dataset import ModelInfo, RoutingTable, SynthConfig, generate_synthetic, make_split
-from equirouter.neuralnet import grad_check, load_checkpoint, save_checkpoint
+from equirouter.neuralnet import load_checkpoint, save_checkpoint
 from equirouter.oracle import select_under_budget
 import equirouter.neuralnet as neuralnet_module
 import equirouter.router as router_module
@@ -52,7 +52,7 @@ from equirouter.router import (
     train_mse_ablation,
 )
 
-from conftest import build_pairs, make_table, oracle_select
+from conftest import build_pairs, grad_check, make_table, oracle_select
 
 
 def tiny_hyper(d_q, k, seed=0, **kw):
