@@ -133,7 +133,9 @@ def sweep(
     order = sorted(range(G), key=lambda g: (costs[g], budgets[g]))
     return SweepCurve(
         budget=grid[order], mean_cost=mean_cost[order], mean_perf=mean_perf[order],
-        calls=calls[order], clamped=clamped[order], unlimited_choices=prefix.choices[:, -1],
+        calls=calls[order], clamped=clamped[order],
+        # a copy: a view of the last row would keep the whole (K, N) table alive
+        unlimited_choices=prefix.prefix_choices[-1].copy(),
     )
 
 
@@ -323,20 +325,19 @@ def training_set_eval(
     train_fn: Callable[[RoutingTable, np.ndarray, np.ndarray], Router],
     table: RoutingTable,
     n_points: int = 100,
-    cost_source: str = "oracle",
-    cost_predictor: CostPredictorParams | None = None,
 ) -> tuple[MetricsSummary, SweepCurve]:
     """Train on the full table and evaluate on the same queries.
 
     `train_fn(table, train_indices, valid_indices)` receives every query as
     training data and an empty validation set; the sweep then runs over the
-    identical queries. Removes any train-test gap, so collapse observed here
-    cannot be blamed on distribution shift.
+    identical queries and filters on their true costs. Removes any
+    train-test gap, so collapse observed here cannot be blamed on
+    distribution shift or on cost prediction.
     """
     all_idx = np.arange(table.n_queries, dtype=np.int64)
     router = train_fn(table, all_idx, np.array([], dtype=np.int64))
     grid = budget_grid(table, all_idx, n_points)
-    curve = sweep(router, table, all_idx, grid, cost_source, cost_predictor)
+    curve = sweep(router, table, all_idx, grid)
     summary = metrics_summary(curve, table, all_idx)
     return summary, curve
 

@@ -3,9 +3,11 @@
 Everything runs in 64-bit floats. Layers are plain dataclasses over numpy
 arrays, and every network in the package backpropagates through `backward`:
 `forward_layers` records each layer's input and output on the way forward
-and `backward_layers` replays them in reverse. A relu layer's backward reads
-its mask from the recorded output (y > 0 exactly where the pre-activation
-is > 0), so no pre-activation is recomputed. Parameters travel as lists of
+and `backward_layers` replays them in reverse. It returns only the
+parameter gradients; no caller needs the gradient w.r.t. a stack's input,
+so it is not computed. A relu layer's backward reads its mask from the
+recorded output (y > 0 exactly where the pre-activation is > 0), so no
+pre-activation is recomputed. Parameters travel as lists of
 arrays in a fixed order, so the test suite's gradient checker and the
 checkpoint format agree on the coordinate layout; Adam updates one flat
 vector, those arrays concatenated in the same order, and returns a new one.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -83,14 +85,12 @@ def backward(
     grad_out: np.ndarray,
     out: np.ndarray | None = None,
     input_grad: bool = True,
-    grad_x_buf: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Chain-rule gradients (grad_x, grad_weight, grad_bias).
 
     `out` is the layer's output as `forward` returned it (recomputed when
     omitted); relu masks the gradient where out > 0, i.e. subgradient 0 at
-    exactly 0. grad_x is None when `input_grad` is False; otherwise it is
-    written into `grad_x_buf` when one is given (same values, no allocation).
+    exactly 0. grad_x is None, and not computed, when `input_grad` is False.
     """
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -99,7 +99,7 @@ def backward(
     if layer.activation == "relu":
         out = forward(layer, x) if out is None else out
         grad_out = grad_out * (out > 0.0)
-    grad_x = np.matmul(grad_out, layer.weight, out=grad_x_buf) if input_grad else None
+    grad_x = grad_out @ layer.weight if input_grad else None
     grad_w = grad_out.T @ x
     grad_b = grad_out.sum(axis=0)
     return grad_x, grad_w, grad_b
@@ -120,20 +120,14 @@ def backward_layers(
     layers: Sequence[DenseLayer],
     acts: Sequence[np.ndarray],
     grad_out: np.ndarray,
-    input_grad: bool = True,
-) -> tuple[np.ndarray | None, list[np.ndarray]]:
-    """Backprop through a `forward_layers` pass given its recorded activations.
-
-    Returns the gradient w.r.t. the stack's input (None, and not computed,
-    when `input_grad` is False) and [grad_weight, grad_bias, ...] in layer order.
-    """
+) -> list[np.ndarray]:
+    """Backprop through a `forward_layers` pass given its recorded activations;
+    returns [grad_weight, grad_bias, ...] in layer order."""
     grads: list[np.ndarray] = []
     for k in reversed(range(len(layers))):
-        grad_out, grad_w, grad_b = backward(
-            layers[k], acts[k], grad_out, acts[k + 1], input_grad or k > 0
-        )
+        grad_out, grad_w, grad_b = backward(layers[k], acts[k], grad_out, acts[k + 1], k > 0)
         grads[:0] = [grad_w, grad_b]
-    return grad_out, grads
+    return grads
 
 
 @dataclass
@@ -141,11 +135,11 @@ class AdamState:
     """Adam moments of one flat parameter vector, plus decoupled weight decay
     (applied outside the moments)."""
 
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.0
+    learning_rate: float
+    weight_decay: float
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def init_adam(

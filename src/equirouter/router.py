@@ -15,7 +15,9 @@ ordering with a pairwise logistic loss over the per-query ordered pairs
 (higher performance wins; equal performance, cheaper wins), so the objective
 matches the argmax decision made at deployment. The "no joint feature"
 ablation feeds [z_j, e_j] to the head; the "mse" ablation keeps the
-architecture but regresses s_j onto the raw performance values.
+architecture but regresses s_j onto the raw performance values. A network's
+tag, one of EQUI_TAGS, is its variant: it sets the head's input and the
+training objective, and a checkpoint records it as its router_type.
 
 The ordered pairs of a split are one dense precedence tensor W (N, K, K),
 W[n, i, j] = 1/|P_n| where i outranks j in query n, built once per split;
@@ -77,7 +79,7 @@ bit-identical to one whole-batch call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +103,7 @@ from .rng import STREAM_INIT, STREAM_SHUFFLE, make_rng
 COST_FLOOR = float(np.finfo(np.float64).tiny)
 SCORE_BLOCK = 256  # query rows per scoring block; see the module docstring
 BLOW_UP = 1e6  # a batch loss over this times the first batch's is divergence
+EQUI_TAGS = ("equirouter", "equirouter_nojoint", "mse")  # EquiRouter variants
 
 # splits are either a SplitIndices or a raw (train, valid) index pair; the
 # latter lets training-set evaluation train on every query
@@ -109,10 +112,10 @@ def _train_valid_arrays(split) -> tuple[np.ndarray, np.ndarray]:
         train, valid = split.train, split.valid
     else:
         train, valid = split
-    return (
-        np.asarray(train, dtype=np.int64),
-        np.asarray(valid, dtype=np.int64),
-    )
+    train = np.asarray(train, dtype=np.int64)
+    if train.size == 0:
+        raise ValueError("training split is empty")
+    return train, np.asarray(valid, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +162,7 @@ class EquiRouterParams:
     model_proj: DenseLayer  # d_m -> D, linear
     score_head: list[DenseLayer]  # (4D or 2D) -> D -> 1, relu hidden
     hyper: EquiHyper
-    joint_feature: bool = True
-    tag: str = "equirouter"  # checkpoint tag: equirouter | equirouter_nojoint | mse
+    tag: str = "equirouter"  # one of EQUI_TAGS
     # (the arrays read, their `_model_terms`), built by `_scoring_terms`
     _terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -168,10 +170,12 @@ class EquiRouterParams:
     def latent_dim(self) -> int:
         return self.trunk[-1].out_dim
 
+    @property
+    def joint_feature(self) -> bool:
+        return self.tag != "equirouter_nojoint"
 
-def init_equirouter(
-    hyper: EquiHyper, joint_feature: bool = True, tag: str | None = None
-) -> EquiRouterParams:
+
+def init_equirouter(hyper: EquiHyper, tag: str = "equirouter") -> EquiRouterParams:
     rng = make_rng(hyper.seed, STREAM_INIT)
     D, d_m = hyper.latent_dim, hyper.d_m
     emb_limit = np.sqrt(6.0 / (d_m + d_m))
@@ -182,10 +186,8 @@ def init_equirouter(
     ]
     film_proj = init_dense(rng, d_m, 2 * D)
     model_proj = init_dense(rng, d_m, D)
-    head_in = 4 * D if joint_feature else 2 * D
+    head_in = 2 * D if tag == "equirouter_nojoint" else 4 * D
     score_head = [init_dense(rng, head_in, D, "relu"), init_dense(rng, D, 1)]
-    if tag is None:
-        tag = "equirouter" if joint_feature else "equirouter_nojoint"
     return EquiRouterParams(
         model_embeddings=model_embeddings,
         trunk=trunk,
@@ -193,7 +195,6 @@ def init_equirouter(
         model_proj=model_proj,
         score_head=score_head,
         hyper=hyper,
-        joint_feature=joint_feature,
         tag=tag,
     )
 
@@ -392,7 +393,7 @@ def _backward_scores(p: EquiRouterParams, cache, dS: np.ndarray) -> list[np.ndar
     dM_proj, proj_w_grad, proj_b_grad = backward(p.model_proj, M, dE)
     dM = dM + dM_proj
 
-    _, trunk_grads = backward_layers(p.trunk, trunk_acts, dZ, input_grad=False)
+    trunk_grads = backward_layers(p.trunk, trunk_acts, dZ)
     return [
         dM, *trunk_grads, film_w_grad, film_b_grad, proj_w_grad, proj_b_grad, *head_grads
     ]
@@ -465,23 +466,15 @@ def _pair_loss(
     return loss, n, np.einsum("bij->bj", G) - np.einsum("bij->bi", G)
 
 
-def ranking_loss(scores: np.ndarray, pairs: np.ndarray) -> float:
-    """Mean per-query logistic pair loss log(1 + exp(-(s_i - s_j))).
-
-    Scores (N, K) take precedence weights (N, K, K) from `build_pair_set`;
-    one query's scores (K,) take an int (P, 2) pair list, which becomes the
-    weight matrix 1/|P| on the listed pairs. Overflow-free at any finite
-    score gap; no pair at all gives 0.
+def ranking_loss(scores: np.ndarray, weights: np.ndarray) -> float:
+    """Mean per-query logistic pair loss log(1 + exp(-(s_i - s_j))) of scores
+    (N, K) under precedence weights (N, K, K) from `build_pair_set`.
+    Overflow-free at any finite score gap; no pair at all gives 0.
     """
     S = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(S)):
         raise ValueError("scores must be finite")
-    if S.ndim == 1:
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        K = S.size
-        hits = np.bincount(pairs[:, 0] * K + pairs[:, 1], minlength=K * K)
-        S, pairs = S[None], hits.reshape(1, K, K) / max(len(pairs), 1)
-    return _pair_loss(S, pairs)[0]
+    return _pair_loss(S, weights)[0]
 
 
 def ranking_objective(
@@ -640,11 +633,8 @@ def train_equirouter(
     the epoch with the lowest validation loss (last epoch when there is no
     validation signal). Bit-reproducible for a fixed seed.
     """
-    if hyper is None:
-        hyper = EquiHyper(d_q=table.embed_dim, n_models=table.n_models)
-    train_idx, valid_idx = _train_valid_arrays(split)
     return _train_scores(
-        table, train_idx, valid_idx, hyper, joint_feature=joint_feature, objective="rank"
+        table, split, hyper, "equirouter" if joint_feature else "equirouter_nojoint"
     )
 
 
@@ -652,25 +642,16 @@ def train_mse_ablation(
     table: RoutingTable, split, hyper: EquiHyper | None = None
 ) -> tuple[EquiRouterParams, list[TrainLogRow]]:
     """Ablation: same architecture, scores regressed onto raw performance."""
-    if hyper is None:
-        hyper = EquiHyper(d_q=table.embed_dim, n_models=table.n_models)
-    train_idx, valid_idx = _train_valid_arrays(split)
-    return _train_scores(
-        table, train_idx, valid_idx, hyper, joint_feature=True, objective="mse"
-    )
+    return _train_scores(table, split, hyper, "mse")
 
 
 def _train_scores(
-    table: RoutingTable,
-    train_idx: np.ndarray,
-    valid_idx: np.ndarray,
-    hyper: EquiHyper,
-    joint_feature: bool,
-    objective: str,
+    table: RoutingTable, split, hyper: EquiHyper | None, tag: str
 ) -> tuple[EquiRouterParams, list[TrainLogRow]]:
-    if train_idx.size == 0:
-        raise ValueError("training split is empty")
-    if objective == "rank":
+    if hyper is None:
+        hyper = EquiHyper(d_q=table.embed_dim, n_models=table.n_models)
+    train_idx, valid_idx = _train_valid_arrays(split)
+    if tag != "mse":
         W_train = build_pair_set(table, train_idx)
         keep = W_train.any(axis=(1, 2))
         if not keep.any():
@@ -699,9 +680,7 @@ def _train_scores(
         def val_loss() -> float:
             return _mse(scores_batch(params, valid_q, workspace), table.perf[valid_idx])[0]
 
-    params = init_equirouter(
-        hyper, joint_feature=joint_feature, tag="mse" if objective == "mse" else None
-    )
+    params = init_equirouter(hyper, tag)
     Q_train = table.embeddings[train_idx]
     # one workspace for the run: every step and validation block reuses it,
     # so training allocates (and the OS maps in) no (B, K, D) array per step
@@ -767,7 +746,7 @@ def _regressor_objective(
     [weight, bias, ...] order."""
     y, acts = forward_layers(layers, Q)
     loss, dy = _mse(y, targets)
-    return loss, backward_layers(layers, acts, dy, input_grad=False)[1]
+    return loss, backward_layers(layers, acts, dy)
 
 
 def _train_two_layer(
@@ -799,8 +778,6 @@ def train_cost_predictor(
     if hyper is None:
         hyper = MlpHyper(d_q=table.embed_dim, n_models=table.n_models)
     train_idx, valid_idx = _train_valid_arrays(split)
-    if train_idx.size == 0:
-        raise ValueError("training split is empty")
     costs = table.cost[train_idx]
     mean = costs.mean(axis=0)
     std = costs.std(axis=0)
@@ -839,8 +816,6 @@ def train_mlp_router(
     if hyper is None:
         hyper = MlpHyper(d_q=table.embed_dim, n_models=table.n_models)
     train_idx, valid_idx = _train_valid_arrays(split)
-    if train_idx.size == 0:
-        raise ValueError("training split is empty")
     l1, l2, log = _train_two_layer(
         table.embeddings[train_idx],
         table.perf[train_idx],
@@ -873,8 +848,6 @@ def train_knn_router(table: RoutingTable, split, k: int = 50) -> KnnRouterParams
     if k < 1:
         raise ValueError("k must be >= 1")
     train_idx, _ = _train_valid_arrays(split)
-    if train_idx.size == 0:
-        raise ValueError("training split is empty")
     return KnnRouterParams(
         k=int(k),
         train_indices=tuple(int(i) for i in train_idx),
@@ -1021,20 +994,16 @@ def route(
 # checkpoints
 
 
-def _hyper_dict(h) -> dict:
-    return {k: getattr(h, k) for k in h.__dataclass_fields__}
-
-
 def save_router(path: Path | str, router: Router) -> None:
     if isinstance(router, EquiRouterParams):
         header = {
             "router_type": router.tag,
             "joint_feature": router.joint_feature,
-            "hyper": _hyper_dict(router.hyper),
+            "hyper": asdict(router.hyper),
         }
         save_checkpoint(path, header, params_list(router))
     elif isinstance(router, MlpRouterParams):
-        header = {"router_type": "mlp", "hyper": _hyper_dict(router.hyper)}
+        header = {"router_type": "mlp", "hyper": asdict(router.hyper)}
         layers = [router.hidden_layer, router.output_layer]
         save_checkpoint(path, header, _layer_params(layers))
     elif isinstance(router, KnnRouterParams):
@@ -1052,7 +1021,7 @@ def save_router(path: Path | str, router: Router) -> None:
 
 
 def save_cost_predictor(path: Path | str, cp: CostPredictorParams) -> None:
-    header = {"router_type": "cost", "hyper": _hyper_dict(cp.hyper)}
+    header = {"router_type": "cost", "hyper": asdict(cp.hyper)}
     layers = [cp.hidden_layer, cp.output_layer]
     save_checkpoint(
         path, header, [*_layer_params(layers), cp.target_mean, cp.target_std]
@@ -1077,10 +1046,12 @@ def load_router(path: Path | str):
             raise ValueError(f"{path}: checkpoint field 'hyper': {exc}") from None
 
     kind = field("router_type")
-    if kind in ("equirouter", "equirouter_nojoint", "mse"):
-        router = init_equirouter(
-            hyper(EquiHyper), joint_feature=bool(field("joint_feature")), tag=kind
-        )
+    if kind in EQUI_TAGS:
+        router = init_equirouter(hyper(EquiHyper), kind)
+        joint = field("joint_feature")
+        if joint is not router.joint_feature:
+            raise ValueError(f"{path}: checkpoint field 'joint_feature' is {joint!r}, but "
+                             f"router_type {kind!r} has joint_feature {router.joint_feature}")
         if [a.shape for a in params] != [a.shape for a in params_list(router)]:
             raise ValueError(f"{path}: checkpoint arrays do not fit its field 'hyper'")
         assign_params(router, params)

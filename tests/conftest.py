@@ -181,6 +181,16 @@ def build_pairs(a, c) -> np.ndarray:
     return np.argwhere(_precedence(a, c))
 
 
+def one_query(scores, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """`ranking_loss`'s arguments for one query: its scores (K,) as (1, K) and
+    its pair list (P, 2) as (1, K, K) weights, 1/P on each listed pair."""
+    S = np.asarray(scores, dtype=np.float64)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    K = S.size
+    hits = np.bincount(pairs[:, 0] * K + pairs[:, 1], minlength=K * K)
+    return S[None], hits.reshape(1, K, K) / max(len(pairs), 1)
+
+
 def constant_policy_router(table, favored=0):
     """MLP with zeroed weights and a one-hot output bias: constant scores."""
     mlp, _ = train_mlp_router(

@@ -37,7 +37,9 @@ from equirouter.router import (
     train_mse_ablation,
 )
 
-from conftest import grad_check, make_table, mc_selection_frequencies, oracle_select
+from conftest import (
+    grad_check, make_table, mc_selection_frequencies, one_query, oracle_select,
+)
 
 
 def report(num, ok, text):
@@ -183,7 +185,7 @@ def test_criterion_03_rci_oracle():
 
 def test_criterion_04_metric_unit_values():
     v_nauc = eq.nauc([(0.0, 0.5), (1.0, 1.0)])
-    v_loss = eq.ranking_loss(np.zeros(2), np.array([(0, 1)]))
+    v_loss = eq.ranking_loss(*one_query(np.zeros(2), np.array([(0, 1)])))
     q_abs, q_rel = eq.qnc_from_curve(
         [(1.0, 0.7), (2.0, 0.8), (3.0, 0.8)], a_max=0.8, x_max=3.0
     )

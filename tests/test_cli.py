@@ -43,7 +43,7 @@ from equirouter.dataset import (
     save_split,
     save_table,
 )
-from equirouter.router import save_router, train_knn_router
+from equirouter.router import EquiHyper, init_equirouter, save_router, train_knn_router
 
 from conftest import constant_policy_router, make_table
 
@@ -753,6 +753,27 @@ def test_malformed_knn_checkpoint_exits_1_before_any_write(tmp_path, capsys, edi
     assert main(["sweep", "--config", cfg, "--checkpoint", str(ckpt)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"error: checkpoint {ckpt}: ") and error in err, err
+    assert not out.exists()
+
+
+def test_sweep_refuses_checkpoint_whose_joint_feature_contradicts_its_kind(tmp_path, capsys):
+    # a no-joint network relabelled as the full EquiRouter: evaluating it
+    # under --router equirouter would report the wrong ablation
+    n = 40
+    table = make_table(perf=[[0.2, 0.9, 0.5]] * n, cost=[[1.0, 2.0, 3.0]] * n)
+    tdir = tmp_path / "table"
+    save_table(table, tdir)
+    save_split(make_split(n, (3, 1, 6), 42), tdir / "split.json")
+    ckpt = tmp_path / "equirouter.ckpt"
+    hyper = EquiHyper(d_q=table.embed_dim, n_models=3, d_m=4, latent_dim=5)
+    save_router(ckpt, init_equirouter(hyper, "equirouter_nojoint"))
+    _edit_header(ckpt, lambda h: h.update(router_type="equirouter"))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "router = equirouter\ncost_source = oracle\n", table=tdir,
+                       out=out)
+    assert main(["sweep", "--config", cfg, "--checkpoint", str(ckpt)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ckpt}: ") and "field 'joint_feature'" in err, err
     assert not out.exists()
 
 

@@ -190,6 +190,14 @@ def test_sweep_matches_per_budget_reference(n, k, seed, nan_costs, n_budgets, sp
         assert got == want
 
 
+def test_sweep_curve_owns_its_unlimited_choices():
+    # a view of the prefix table's last row would keep all K rows alive
+    rng = np.random.Generator(np.random.Philox(3))
+    t = make_table(perf=rng.random((1000, 11)), cost=rng.random((1000, 11)) + 0.1)
+    curve = sweep(OracleRouter(), t, range(1000), [0.5, 2.0])
+    assert curve.unlimited_choices.shape == (1000,) and curve.unlimited_choices.base is None
+
+
 def test_sweep_matches_reference_with_more_than_255_models():
     # the affordable-model count outgrows one byte
     rng = np.random.Generator(np.random.Philox(5))

@@ -52,13 +52,18 @@ from equirouter.router import (
     train_mse_ablation,
 )
 
-from conftest import build_pairs, grad_check, make_table, oracle_select
+from conftest import build_pairs, grad_check, make_table, one_query, oracle_select
 
 
 def tiny_hyper(d_q, k, seed=0, **kw):
     defaults = dict(d_m=6, latent_dim=8, epochs=30, batch_size=64, learning_rate=3e-3)
     defaults.update(kw)
     return EquiHyper(d_q=d_q, n_models=k, seed=seed, **defaults)
+
+
+def variant(joint: bool) -> str:
+    """The tag of the joint-feature EquiRouter or of its no-joint ablation."""
+    return "equirouter" if joint else "equirouter_nojoint"
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +170,7 @@ def test_score_all_zeroed_head_gives_bias():
 
 @pytest.mark.parametrize("joint", [True, False])
 def test_score_all_matches_reference_pipeline(joint):
-    p = init_equirouter(tiny_hyper(6, 4, seed=4), joint_feature=joint)
+    p = init_equirouter(tiny_hyper(6, 4, seed=4), variant(joint))
     rng = make_rng(9, 0)
     for _ in range(5):
         x = rng.standard_normal(6)
@@ -184,7 +189,7 @@ def _tie_first_coordinate(p):
 
 @pytest.mark.parametrize("joint", [True, False])
 def test_scores_batch_matches_reference_pipeline(joint):
-    p = init_equirouter(tiny_hyper(6, 4, seed=6), joint_feature=joint)
+    p = init_equirouter(tiny_hyper(6, 4, seed=6), variant(joint))
     _tie_first_coordinate(p)
     Q = make_rng(11, 0).standard_normal((9, 6))
     S = scores_batch(p, Q)
@@ -239,7 +244,7 @@ def test_per_query_mac_counts_exact(joint):
     # D*D (folded z_j and u blocks) + 2D (X and |X|) + D*D (v block) + D
     # (output), 2D^2 + 3D; the no-joint head D*D + D; the e_j block is per
     # parameter set
-    p = init_equirouter(tiny_hyper(5, 4), joint_feature=joint)
+    p = init_equirouter(tiny_hyper(5, 4), variant(joint))
     per_model = 64 + 2 * 8 + 64 + 8 if joint else 64 + 8
     assert per_query_mac_counts(p) == (5 * 8 + 8 * 8, per_model)
 
@@ -262,7 +267,7 @@ def test_block_scoring_is_bitwise_one_batch(monkeypatch, k11_table, n):
     t, idx = k11_table, np.arange(n)
     Q = t.embeddings[idx]
     equi = [
-        init_equirouter(EquiHyper(d_q=24, n_models=11, d_m=16, latent_dim=64), joint_feature=j)
+        init_equirouter(EquiHyper(d_q=24, n_models=11, d_m=16, latent_dim=64), variant(j))
         for j in (True, False)
     ]
     h = MlpHyper(d_q=24, n_models=11, hidden=64)
@@ -342,7 +347,7 @@ def _uncached_scores(p, Q):
 @pytest.mark.parametrize("k", [3, 11])
 def test_cached_scores_are_bytewise_uncached(joint, k):
     p = init_equirouter(
-        EquiHyper(d_q=24, n_models=k, d_m=16, latent_dim=128, seed=2), joint_feature=joint
+        EquiHyper(d_q=24, n_models=k, d_m=16, latent_dim=128, seed=2), variant(joint)
     )
     Q = make_rng(3, 0).standard_normal((600, 24))
     for n in (1, 256, 600):  # one row, one block, two blocks
@@ -416,7 +421,7 @@ def test_workspace_forward_backward_are_bytewise_fresh(joint, k, d, rows, score_
     # a full batch, a shorter last batch and a scoring block larger than the
     # batch; odd sizes put slots at offsets that are not 16-byte aligned
     p = init_equirouter(
-        EquiHyper(d_q=4, n_models=k, d_m=5, latent_dim=d, seed=3), joint_feature=joint
+        EquiHyper(d_q=4, n_models=k, d_m=5, latent_dim=d, seed=3), variant(joint)
     )
     terms = _model_terms(p)
     workspace = _workspace(p, rows, score_rows)
@@ -560,19 +565,19 @@ def test_pair_soundness_against_oracle():
 
 def test_ranking_loss_equal_scores_is_ln2():
     pairs = np.array([(0, 1), (2, 0)])
-    assert ranking_loss(np.zeros(3), pairs) == pytest.approx(math.log(2), abs=1e-9)
+    assert ranking_loss(*one_query(np.zeros(3), pairs)) == pytest.approx(math.log(2), abs=1e-9)
 
 
 def test_ranking_loss_hand_value():
-    assert ranking_loss(np.array([2.0, 0.0]), np.array([(0, 1)])) == pytest.approx(
+    assert ranking_loss(*one_query(np.array([2.0, 0.0]), np.array([(0, 1)]))) == pytest.approx(
         math.log1p(math.exp(-2)), abs=1e-12
     )
 
 
 def test_ranking_loss_saturation_no_overflow():
-    loss = ranking_loss(np.array([50.0, 0.0]), np.array([(0, 1)]))
+    loss = ranking_loss(*one_query(np.array([50.0, 0.0]), np.array([(0, 1)])))
     assert 0 < loss < 1e-21
-    big = ranking_loss(np.array([1000.0, 0.0]), np.array([(0, 1)]))
+    big = ranking_loss(*one_query(np.array([1000.0, 0.0]), np.array([(0, 1)])))
     assert np.isfinite(big) and big >= 0
 
 
@@ -580,12 +585,13 @@ def test_ranking_loss_shift_invariance():
     rng = make_rng(22, 0)
     s = rng.standard_normal(5)
     pairs = build_pairs(rng.random(5), rng.random(5))
-    assert ranking_loss(s, pairs) == pytest.approx(ranking_loss(s + 17.3, pairs))
+    shifted = ranking_loss(*one_query(s + 17.3, pairs))
+    assert ranking_loss(*one_query(s, pairs)) == pytest.approx(shifted)
 
 
 def test_ranking_loss_rejects_nonfinite_scores():
     with pytest.raises(ValueError):
-        ranking_loss(np.array([np.inf, 0.0]), np.array([(0, 1)]))
+        ranking_loss(*one_query(np.array([np.inf, 0.0]), np.array([(0, 1)])))
 
 
 @settings(max_examples=40, deadline=None)
@@ -614,7 +620,8 @@ def test_dense_precedence_matches_per_query_pairs(n, k, seed):
     for q in supervised:
         i, j = pairs[q].T
         per_query.append(np.mean(np.logaddexp(0.0, -(S[q, i] - S[q, j]))))
-        assert ranking_loss(S[q], pairs[q]) == pytest.approx(per_query[-1], rel=1e-12)
+        loss = ranking_loss(*one_query(S[q], pairs[q]))
+        assert loss == pytest.approx(per_query[-1], rel=1e-12)
     reference = np.mean(per_query)
     assert ranking_objective(p, t.embeddings, W)[0] == pytest.approx(reference, rel=1e-12)
     assert ranking_loss(S, W) == pytest.approx(reference, rel=1e-12)
@@ -675,7 +682,7 @@ def test_full_objective_gradients_match_fd(joint, tie):
     )
     pairs = build_pair_set(t, np.arange(4))
     p = init_equirouter(
-        EquiHyper(d_q=6, n_models=3, d_m=4, latent_dim=8, seed=7), joint_feature=joint
+        EquiHyper(d_q=6, n_models=3, d_m=4, latent_dim=8, seed=7), variant(joint)
     )
     if tie:
         _tie_first_coordinate(p)
@@ -1097,6 +1104,22 @@ def test_mlp_memorization_agrees_with_oracle():
     assert agree >= 0.95
 
 
+@pytest.mark.parametrize(
+    "train",
+    [train_equirouter, train_mse_ablation, train_cost_predictor, train_mlp_router,
+     train_knn_router],
+    ids=lambda f: f.__name__,
+)
+def test_trainers_refuse_an_empty_training_split(small_synth, train):
+    with pytest.raises(ValueError, match="^training split is empty$"):
+        train(small_synth, (np.array([], dtype=int), np.arange(5)))
+
+
+def test_knn_checks_k_before_the_split():
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        train_knn_router(None, (np.array([], dtype=int), np.array([], dtype=int)), k=0)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -1153,6 +1176,34 @@ def test_load_router_refuses_malformed_knn_header(tmp_path, edit, error):
     with pytest.raises(ValueError) as info:
         load_router(path)
     assert str(info.value) == f"{path}: checkpoint {error}"
+
+
+@pytest.mark.parametrize(
+    "tag, edit, value",
+    [
+        pytest.param("equirouter_nojoint", {"router_type": "equirouter"}, False,
+                     id="nojoint-as-equirouter"),
+        pytest.param("equirouter_nojoint", {"router_type": "mse"}, False, id="nojoint-as-mse"),
+        pytest.param("equirouter", {"joint_feature": False}, False, id="equirouter-false"),
+        pytest.param("mse", {"joint_feature": 1}, 1, id="mse-int"),
+    ],
+)
+def test_load_router_refuses_joint_feature_that_contradicts_router_type(
+    tmp_path, tag, edit, value
+):
+    # the tag sets the head's input: a contradicting field would load one
+    # variant under another's name
+    path = tmp_path / "r.ckpt"
+    save_router(path, init_equirouter(tiny_hyper(5, 3), tag))
+    header, arrays = load_checkpoint(path)
+    save_checkpoint(path, {**header, **edit}, arrays)
+    kind = edit.get("router_type", tag)
+    with pytest.raises(ValueError) as info:
+        load_router(path)
+    assert str(info.value) == (
+        f"{path}: checkpoint field 'joint_feature' is {value!r}, but router_type {kind!r} "
+        f"has joint_feature {kind != 'equirouter_nojoint'}"
+    )
 
 
 def test_all_router_kinds_round_trip(tmp_path, small_synth):
