@@ -5,27 +5,33 @@ true performance, breaking ties by lowest cost and then lowest index. The
 same lexicographic rule is reused by every learned router, applied to its
 own scores/predicted costs, so it lives here.
 
-The rule is computed over cost-sorted prefixes. Stable-sort a query's models
-by (filter cost, index). The models affordable at any budget are then a
-prefix of that order, its length the number of costs <= budget, and within
-the prefix a model's position already ranks it by (cost, index). So the
-first maximum score of the prefix is the (max score, min cost, min index)
-choice, and the clamped fallback, the cheapest model with the lowest index,
-is the first model of the order. A running argmax gives the choice for every
-prefix length at once (`prefix_table`). It is built model-major: the sorted
-scores are one (K, N) array whose row m holds the score of every query's
-(m + 1)-th cheapest model, and K - 1 steps of whole-row operations across
-all N queries carry the running maximum and the choice from one prefix
-length to the next. Any budget is then a count of affordable models and a
-lookup. `PrefixTable.select` decides one budget or a block of budgets at
-once, summing each model's row of filter-cost comparisons, so the affordable
-count, the NaN rule and the clamp are written only there. The rule only
-compares and gathers, so it is exact: no arithmetic touches a score or cost.
+The rule has two forms. For many queries or budgets it is computed over
+cost-sorted prefixes. Stable-sort a query's models by (filter cost, index).
+The models affordable at any budget are then a prefix of that order, its
+length the number of costs <= budget, and within the prefix a model's
+position already ranks it by (cost, index). So the first maximum score of
+the prefix is the (max score, min cost, min index) choice, and the clamped
+fallback, the cheapest model with the lowest index, is the first model of
+the order. A running argmax gives the choice for every prefix length at once
+(`prefix_table`). It is built model-major: the sorted scores are one (K, N)
+array whose row m holds the score of every query's (m + 1)-th cheapest
+model, and K - 1 steps of whole-row operations across all N queries carry
+the running maximum and the choice from one prefix length to the next. Any
+budget is then a count of affordable models and a lookup.
+`PrefixTable.select` decides one budget or a block of budgets at once,
+summing each model's row of filter-cost comparisons.
+
+For one query at one budget, `select_under_budget` needs no cost order: a
+single scan of the query's K models keeps the best affordable one so far. A
+property test ties the two forms together, row by row, on tied, infinite
+and NaN values. Both only compare and gather, so they are exact: no
+arithmetic touches a score or cost.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,24 +65,54 @@ def feasible_set(table: RoutingTable, budget: float) -> FeasibleSet:
     return FeasibleSet(budget=float(budget), members=members, clamped=clamped)
 
 
+_NAN_SCORES = "router scores contain NaN; the routing rule cannot rank them"
+
+
 def _check_scores(scores: np.ndarray) -> None:
     # NaN compares false with everything, so no model would rank first
     if np.isnan(scores).any():
-        raise ValueError("router scores contain NaN; the routing rule cannot rank them")
+        raise ValueError(_NAN_SCORES)
+
+
+def _shape_mismatch(scores_shape: tuple, costs_shape: tuple, want: str) -> ValueError:
+    return ValueError(
+        f"scores of shape {scores_shape} and filter costs of shape {costs_shape}"
+        f" must share one shape {want}"
+    )
 
 
 def select_under_budget(
     scores: np.ndarray, filter_costs: np.ndarray, budget: float
 ) -> tuple[int, bool]:
-    """Apply the routing rule for one query: the first maximum score over the
-    affordable prefix of the (filter cost, index) order, or the first model
-    of that order, clamped, when nothing is affordable."""
-    _check_scores(scores)
-    order = np.argsort(filter_costs, kind="stable")
-    count = int(np.count_nonzero(filter_costs <= budget))
-    if count == 0:
-        return int(order[0]), True
-    return int(order[np.argmax(scores[order[:count]])]), False
+    """Apply the routing rule for one query: among the models whose filter
+    cost is <= budget, the highest score, then the lowest cost, then the
+    lowest index; when nothing is affordable, the lowest non-NaN cost (the
+    first model of the stable cost order; model 0 if every cost is NaN),
+    clamped. A NaN cost or a NaN budget never affords.
+
+    One scan over the row's (score, cost) pairs, read as Python floats: a
+    model replaces the best so far if it is affordable and scores higher, or
+    scores the same at a strictly lower cost, so equal score and cost keep
+    the earlier index. Its O(K) Python comparisons beat the numpy calls of a
+    stable sort of the row below about K = 80; `prefix_table` serves many
+    queries or budgets.
+    """
+    if scores.shape != filter_costs.shape or scores.ndim != 1 or not scores.size:
+        raise _shape_mismatch(scores.shape, filter_costs.shape, "(K,) with K >= 1")
+    budget = float(budget)  # a numpy scalar would make every comparison a numpy call
+    best, top, low = -1, -math.inf, 0.0
+    for j, (s, c) in enumerate(zip(scores.tolist(), filter_costs.tolist())):
+        # a NaN score fails both score comparisons, so it always reaches the
+        # elif; best < 0 admits a first affordable score of -inf
+        if c <= budget and (s > top or (s == top and (c < low or best < 0))):
+            best, top, low = j, s, c
+        elif s != s:
+            raise ValueError(_NAN_SCORES)
+    if best >= 0:
+        return best, False
+    # min of (cost, index) pairs: equal costs, -0.0 and 0.0 too, keep the earlier index
+    cheapest = [(c, j) for j, c in enumerate(filter_costs.tolist()) if c == c]
+    return (min(cheapest)[1] if cheapest else 0), True
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +151,8 @@ def prefix_table(scores: np.ndarray, filter_costs: np.ndarray) -> PrefixTable:
     by cost, then a running first-argmax of the sorted scores, one model-major
     step per prefix length across all queries."""
     filter_costs = np.asarray(filter_costs)
+    if np.shape(scores) != filter_costs.shape or filter_costs.ndim != 2:
+        raise _shape_mismatch(np.shape(scores), filter_costs.shape, "(N, K)")
     _check_scores(scores)
     N, K = filter_costs.shape
     # row m holds every query's (m + 1)-th model in (cost, index) order

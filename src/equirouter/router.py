@@ -976,6 +976,10 @@ def route(
     cost_predictor: CostPredictorParams | None = None,
 ) -> RouterDecision:
     """Budget-filtered selection: argmax score, ties to cheaper then lower index."""
+    N = table.n_queries
+    # a negative or fractional n would silently route another query
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n < N:
+        raise ValueError(f"query index n = {n!r} must be an integer in 0..{N - 1} (N = {N})")
     idx = np.array([n], dtype=np.int64)
     scores = router_scores(router, table, idx)[0]
     costs = filter_costs(router, table, idx, cost_source, cost_predictor)[0]

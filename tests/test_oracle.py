@@ -172,6 +172,47 @@ def test_prefix_table_matches_the_row_wise_reference(data, shape):
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.sampled_from([(1, 1), (1, 300)]) | st.tuples(st.integers(1, 8), st.integers(1, 12)),
+)
+def test_one_row_scan_decides_as_the_prefix_table(data, shape):
+    """The one-row form gives, row by row, the prefix table's (choice,
+    clamped) as Python (int, bool): tied, +-inf and +-0.0 scores, NaN and
+    +-inf costs, and NaN, zero, infinite, on-a-cost and free budgets."""
+    scores = data.draw(arrays(np.float64, shape, elements=st.sampled_from(TIED_SCORES)
+                              | st.floats(allow_nan=False)))
+    costs = data.draw(arrays(np.float64, shape, elements=st.sampled_from(TIED_COSTS)
+                             | st.floats()))
+    budgets = [math.nan, 0.0, math.inf, *np.unique(costs).tolist(), data.draw(st.floats())]
+    choices, clamped = prefix_table(scores, costs).select(budgets)
+    for b, row_choices, row_clamped in zip(budgets, choices.tolist(), clamped.tolist()):
+        for i in range(shape[0]):
+            got = select_under_budget(scores[i], costs[i], b)
+            assert got == (row_choices[i], row_clamped[i])
+            assert type(got[0]) is int and type(got[1]) is bool
+
+
+def test_rule_refuses_scores_and_costs_of_different_shapes():
+    # read by flat index, the 3-column scores would decide the 2-column costs
+    scores = np.array([[0.1, 0.9, 0.5], [0.8, 0.2, 0.3]])
+    costs = np.array([[1.0, 2.0], [1.0, 2.0]])
+    with pytest.raises(ValueError, match=r"shape \(2, 3\) .* shape \(2, 2\)"):
+        prefix_table(scores, costs)
+    with pytest.raises(ValueError, match=r"shape \(2, 3\) .* shape \(2, 2\)"):
+        select_under_budget_batch(scores, costs, 10.0)
+    with pytest.raises(ValueError, match=r"shape \(3,\) .* shape \(2,\)"):
+        select_under_budget(scores[0], costs[0], 10.0)
+    with pytest.raises(ValueError, match=r"shape \(2,\) .* shape \(3,\)"):
+        select_under_budget(costs[0], scores[0], 10.0)
+    # one query's row, not a matrix, and at least one model
+    with pytest.raises(ValueError, match=r"shape \(2, 3\) .* shape \(2, 3\)"):
+        select_under_budget(scores, scores, 10.0)
+    with pytest.raises(ValueError, match=r"shape \(0,\) .* shape \(0,\)"):
+        select_under_budget(scores[0, :0], costs[0, :0], 10.0)
+
+
 def test_select_rejects_nan_scores():
     scores = np.array([[0.2, np.nan, 0.9], [0.1, 0.5, 0.3]])
     costs = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])

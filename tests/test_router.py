@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from equirouter.dataset import ModelInfo, RoutingTable, SynthConfig, generate_synthetic, make_split
 from equirouter.neuralnet import load_checkpoint, save_checkpoint
-from equirouter.oracle import select_under_budget
+from equirouter.oracle import prefix_table, select_under_budget
 import equirouter.neuralnet as neuralnet_module
 import equirouter.router as router_module
 from equirouter.rng import make_rng
@@ -32,6 +32,7 @@ from equirouter.router import (
     _workspace,
     assign_params,
     build_pair_set,
+    filter_costs,
     init_equirouter,
     knn_scores,
     load_router,
@@ -993,6 +994,52 @@ def test_route_invariant_to_increasing_transform():
         base, _ = select_under_budget(s, c, budget)
         squashed, _ = select_under_budget(np.tanh(s) * 3 + 1, c, budget)
         assert base == squashed
+
+
+@pytest.mark.parametrize("kind", ["oracle", "equirouter", "mlp", "knn"])
+def test_route_decides_as_the_prefix_table(kind, small_synth):
+    """route() makes the prefix table's decision, built from the same
+    router's scores and filter costs, on 200 (query, budget) pairs: NaN,
+    zero and infinite budgets, budgets equal to a filter cost, tied kNN means
+    and an EquiRouter filtering on predicted costs."""
+    t = small_synth
+    split = make_split(t.n_queries, (3, 1, 6), seed=5)
+    mlp_hyper = MlpHyper(d_q=t.embed_dim, n_models=t.n_models, hidden=8, epochs=3,
+                         batch_size=64)
+    source, cp = "oracle", None
+    if kind == "oracle":
+        router = OracleRouter()
+    elif kind == "equirouter":
+        router, _ = train_equirouter(t, split, tiny_hyper(t.embed_dim, t.n_models, epochs=3))
+        source, (cp, _) = "predicted", train_cost_predictor(t, split, mlp_hyper)
+    elif kind == "mlp":
+        router, _ = train_mlp_router(t, split, mlp_hyper)
+    else:
+        router = train_knn_router(t, split, k=5)
+    queries = np.arange(0, t.n_queries, 16)
+    S = router_scores(router, t, queries)
+    C = filter_costs(router, t, queries, source, cp)
+    # five budgets equal to one of the queries' filter costs
+    budgets = [math.nan, 0.0, math.inf, *np.sort(C, axis=None)[[10, 30, 50, 70, 90]].tolist()]
+    choices, clamped = prefix_table(S, C).select(budgets)
+    assert len(queries) * len(budgets) == 200
+    for b, row_choices, row_clamped in zip(budgets, choices.tolist(), clamped.tolist()):
+        for j, n in enumerate(queries):
+            d = route(router, t, n, b, source, cp)
+            assert (d.chosen, d.feasible_clamped) == (row_choices[j], row_clamped[j])
+
+
+@pytest.mark.parametrize("n", [-1, 10, 3.7, True])
+def test_route_refuses_a_query_index_outside_the_table(n):
+    # numpy would read -1 as the last row and 3.7 as row 3
+    rng = make_rng(21, 0)
+    t = make_table(perf=rng.random((10, 3)), cost=rng.random((10, 3)) + 0.1)
+    knn = train_knn_router(t, (np.arange(10), np.array([], dtype=int)), k=1)
+    for router in (OracleRouter(), init_equirouter(tiny_hyper(3, 3)), knn):
+        with pytest.raises(ValueError, match=r"n = .* in 0\.\.9 \(N = 10\)"):
+            route(router, t, n, 1.0)
+    d = route(OracleRouter(), t, np.int64(5), 1.0)
+    assert d.query_index == 5 and np.array_equal(d.scores, t.perf[5])
 
 
 # ---------------------------------------------------------------------------
