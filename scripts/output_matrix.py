@@ -8,7 +8,12 @@ scored in two blocks, 256 rows then 344) it runs `synth`, then `train`,
 through `python -m equirouter.cli` on the package source beside this script,
 with one BLAS thread. `equirouter-pipeline-k11` runs the EquiRouter pipeline
 and `oracle-diagnose-k11` the oracle `diagnose` on an 11-model, 600-query
-table. Four more steps must be refused with exit 1
+table. `route-decisions` runs ROUTE_DECISIONS, an inline `python -c`
+driver, so a base tree runs it too: it loads the matrix's table and every
+trained kind's checkpoint and writes `route.csv`, one `route()` decision
+per row with the repr of every score and filter cost, for six queries from
+the first to the last at budgets NaN, 0, inf and one equal to a filter
+cost, under both cost sources. Four more steps must be refused with exit 1
 before any write: `refuse-kind` offers the EquiRouter checkpoint as an MLP,
 `refuse-split` offers the kNN checkpoint to a run at another split.seed,
 `refuse-empty-test` runs a pipeline whose split.ratio (1000:1:1) leaves the
@@ -95,6 +100,34 @@ diagnose.sigmas = 0,0.1,0.4
 """
 
 
+# `python -c` driver of the route-decisions step, run inside OUT as
+# `python -c ROUTE_DECISIONS STEP KIND...`: route() for every router kind
+# on the matrix's table, the cost predictor trained beside the EquiRouter
+ROUTE_DECISIONS = """\
+import math, sys
+from pathlib import Path
+from equirouter import dataset, router as rt
+out, kinds = Path(sys.argv[1]), sys.argv[2:]
+table = dataset.load_table("table")
+cp = rt.load_router("equirouter-train/cost.ckpt")
+N, K = table.n_queries, table.n_models
+rows = ["kind,cost_source,query,budget,chosen,clamped,scores,costs"]
+for kind in kinds:
+    path = f"{kind}-train/{kind}.ckpt"
+    router = rt.OracleRouter() if kind == "oracle" else rt.load_router(path)
+    for source in ("oracle", "predicted"):
+        for n in (0, 1, 255, 256, 511, N - 1):
+            cost = rt.route(router, table, n, math.inf, source, cp).predicted_costs[n % K]
+            for budget in (math.nan, 0.0, math.inf, float(cost)):
+                d = rt.route(router, table, n, budget, source, cp)
+                scores = " ".join(map(repr, d.scores.tolist()))
+                costs = " ".join(map(repr, d.predicted_costs.tolist()))
+                rows.append(f"{kind},{source},{n},{budget!r},{d.chosen},"
+                            f"{d.feasible_clamped},{scores},{costs}")
+out.mkdir()
+(out / "route.csv").write_text("\\n".join(rows) + "\\n")
+"""
+
 # steps that must exit 1 and write nothing; every other step must exit 0
 REFUSED = ("oracle-train", "refuse-kind", "refuse-split", "refuse-empty-test",
            "refuse-nan-gate")
@@ -102,9 +135,10 @@ REFUSED = ("oracle-train", "refuse-kind", "refuse-split", "refuse-empty-test",
 
 def run(out: Path, env: dict, tree: Path, step: str, *argv: str) -> int:
     """Run argv inside OUT, log it to OUT/<step>.log and return its exit code.
-    argv[0] is `equirouter`, run as `python -m equirouter.cli`, or a path
-    under the repository root `tree`."""
-    prog = ["-m", "equirouter.cli"] if argv[0] == "equirouter" else [str(tree / argv[0])]
+    argv[0] is `equirouter`, run as `python -m equirouter.cli`, `-c`, whose
+    argv[1] is the code to run, or a path under the repository root `tree`."""
+    prog = {"equirouter": ["-m", "equirouter.cli"], "-c": ["-c"]}.get(
+        argv[0], [str(tree / argv[0])])
     proc = subprocess.run([sys.executable, *prog, *argv[1:]], cwd=out, env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     shown = " ".join(argv)
@@ -152,6 +186,7 @@ def run_matrix(out: Path, tree: Path) -> list[str]:
             cli(f"{kind}-pipeline", "pipeline", "--config", "synth.cfg", *flags),
         ]
     steps += [
+        ("route-decisions", ["-c", ROUTE_DECISIONS, "route-decisions", *ROUTER_KINDS]),
         cli("refuse-kind", "sweep", "--config", "table.cfg", "--router", "mlp",
             "--checkpoint", "equirouter-train/equirouter.ckpt"),
         cli("refuse-split", "sweep", "--config", "split7.cfg", "--router", "knn",

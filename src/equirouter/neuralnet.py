@@ -73,9 +73,10 @@ def forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.in_dim:
         raise ValueError(f"input shape {x.shape} incompatible with in_dim {layer.in_dim}")
-    z = x @ layer.weight.T + layer.bias
+    z = x @ layer.weight.T  # a fresh array: the bias and relu apply in place
+    z += layer.bias
     if layer.activation == "relu":
-        return np.maximum(z, 0.0)
+        np.maximum(z, 0.0, out=z)
     return z
 
 

@@ -74,6 +74,14 @@ preallocated (N, K) result: scoring memory is O(511 * K * D), for kNN
 O(511 * n_train), plus the result, whatever N. Blocks at fixed
 multiples of 256 rows keep the BLAS kernels' row grouping, so scores are
 bit-identical to one whole-batch call.
+
+`router_scores`, `filter_costs` and `route()` share one per-kind dispatch,
+`_scores` and `_costs`, which take the table's query rows as an index array
+or a slice. The batch functions pass an index array, so the table's rows are
+copied out; `route()` passes the slice n:n+1, so a learned router scores the
+one-row view of the query's embedding and the oracle's scores and true
+costs are read-only views of the table's rows. Either way the bits are the
+same.
 """
 
 from __future__ import annotations
@@ -804,8 +812,11 @@ def train_cost_predictor(
 def predict_costs(cp: CostPredictorParams, Q: np.ndarray) -> np.ndarray:
     """De-standardized cost predictions, floored at the smallest positive float."""
     def block(q: np.ndarray) -> np.ndarray:
+        # a fresh array, de-standardized in place
         y = forward_layers([cp.hidden_layer, cp.output_layer], q)[0]
-        return np.maximum(y * cp.target_std + cp.target_mean, COST_FLOOR)
+        y *= cp.target_std
+        y += cp.target_mean
+        return np.maximum(y, COST_FLOOR, out=y)
 
     return _in_blocks(block, np.atleast_2d(np.asarray(Q, dtype=np.float64)))
 
@@ -888,7 +899,8 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
         if (counts >= k).all():  # else a NaN k-th distance: argsort below
             flat = np.flatnonzero(keep).reshape(-1, k)
             order = np.argsort(d2.ravel()[flat], axis=1, kind="stable")
-            return np.take_along_axis(flat, order, axis=1) % n
+            order += np.arange(0, flat.size, k)[:, None]  # flat offsets into `flat`
+            return flat.ravel()[order] % n
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
@@ -903,7 +915,8 @@ def knn_scores(knn: KnnRouterParams, table: RoutingTable, Q: np.ndarray) -> np.n
         d2 = (q * q).sum(axis=1, keepdims=True) + r_sq[None, :] - 2.0 * (q @ ref.T)
         if first is not None:  # BLAS may round copies' columns apart: tie them
             d2 = d2[:, first]
-        return ref_perf[_nearest(d2, k)].mean(axis=1)
+        # np.mean's own sum and count, without its Python wrapper
+        return np.add.reduce(ref_perf[_nearest(d2, k)], axis=1) / k
 
     return _in_blocks(block, Q)
 
@@ -932,21 +945,45 @@ class RouterDecision:
     feasible_clamped: bool
 
 
+def _scores(router: Router, table: RoutingTable, rows) -> np.ndarray:
+    """Scores (R, K) of the table's query rows `rows`, an int64 index array
+    or a slice; the per-kind dispatch of the module docstring."""
+    if isinstance(router, OracleRouter):
+        return table.perf[rows]
+    Q = table.embeddings[rows]
+    if isinstance(router, EquiRouterParams):
+        return scores_batch(router, Q)
+    if isinstance(router, MlpRouterParams):
+        layers = [router.hidden_layer, router.output_layer]
+        return _in_blocks(lambda q: forward_layers(layers, q)[0], Q)
+    if isinstance(router, KnnRouterParams):
+        return knn_scores(router, table, Q)
+    raise TypeError(f"unknown router type {type(router)!r}")
+
+
+def _costs(
+    router: Router,
+    table: RoutingTable,
+    rows,
+    cost_source: str,
+    cost_predictor: CostPredictorParams | None,
+) -> np.ndarray:
+    """Filter costs (R, K) of the query rows `rows`, as `_scores` takes
+    them. The source is checked for every kind, the oracle included."""
+    if cost_source not in ("oracle", "predicted"):
+        raise ValueError(f"unknown cost_source {cost_source!r}")
+    if cost_source == "oracle" or isinstance(router, OracleRouter):
+        return table.cost[rows]
+    if cost_predictor is None:
+        raise ValueError("cost_source='predicted' requires a cost predictor")
+    return predict_costs(cost_predictor, table.embeddings[rows])
+
+
 def router_scores(
     router: Router, table: RoutingTable, indices: np.ndarray
 ) -> np.ndarray:
     """Score matrix (len(indices), K) under the uniform router interface."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if isinstance(router, OracleRouter):
-        return table.perf[indices]
-    if isinstance(router, EquiRouterParams):
-        return scores_batch(router, table.embeddings[indices])
-    if isinstance(router, MlpRouterParams):
-        layers = [router.hidden_layer, router.output_layer]
-        return _in_blocks(lambda q: forward_layers(layers, q)[0], table.embeddings[indices])
-    if isinstance(router, KnnRouterParams):
-        return knn_scores(router, table, table.embeddings[indices])
-    raise TypeError(f"unknown router type {type(router)!r}")
+    return _scores(router, table, np.asarray(indices, dtype=np.int64))
 
 
 def filter_costs(
@@ -956,15 +993,11 @@ def filter_costs(
     cost_source: str,
     cost_predictor: CostPredictorParams | None = None,
 ) -> np.ndarray:
-    """Costs used for the budget filter: true costs or predictor output."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if cost_source == "oracle" or isinstance(router, OracleRouter):
-        return table.cost[indices]
-    if cost_source == "predicted":
-        if cost_predictor is None:
-            raise ValueError("cost_source='predicted' requires a cost predictor")
-        return predict_costs(cost_predictor, table.embeddings[indices])
-    raise ValueError(f"unknown cost_source {cost_source!r}")
+    """Costs used for the budget filter: true costs or predictor output. The
+    oracle router always filters on true costs; a source other than
+    "oracle" or "predicted" raises ValueError for every router."""
+    return _costs(router, table, np.asarray(indices, dtype=np.int64), cost_source,
+                  cost_predictor)
 
 
 def route(
@@ -975,14 +1008,21 @@ def route(
     cost_source: str = "oracle",
     cost_predictor: CostPredictorParams | None = None,
 ) -> RouterDecision:
-    """Budget-filtered selection: argmax score, ties to cheaper then lower index."""
+    """Budget-filtered selection: argmax score, ties to cheaper then lower index.
+
+    The query's row is scored as the one-row view `table.embeddings[n:n+1]`
+    through the dispatch `router_scores` and `filter_costs` use, so its
+    scores and costs are bit-identical to theirs for [n], with no index
+    array or row copy made. The oracle's arrays are read-only views of the
+    table's rows; every other array is the decision's own.
+    """
     N = table.n_queries
     # a negative or fractional n would silently route another query
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n < N:
         raise ValueError(f"query index n = {n!r} must be an integer in 0..{N - 1} (N = {N})")
-    idx = np.array([n], dtype=np.int64)
-    scores = router_scores(router, table, idx)[0]
-    costs = filter_costs(router, table, idx, cost_source, cost_predictor)[0]
+    row = slice(n, n + 1)
+    scores = _scores(router, table, row)[0]
+    costs = _costs(router, table, row, cost_source, cost_predictor)[0]
     chosen, clamped = select_under_budget(scores, costs, budget)
     return RouterDecision(
         query_index=int(n),

@@ -95,6 +95,13 @@ def test_sweep_counts_clamped_queries():
     assert curve.clamped.tolist() == [1]
 
 
+def test_oracle_sweep_refuses_an_unknown_cost_source():
+    # the oracle filters on true costs, but "bogus" is no cost source
+    t = make_table(perf=[[1, 0], [0, 1]], cost=[[2.0, 3.0], [1.0, 1.5]])
+    with pytest.raises(ValueError, match="unknown cost_source 'bogus'"):
+        sweep(OracleRouter(), t, [0, 1], [0.5, 2.0], "bogus")
+
+
 def test_sweep_realized_cost_uses_true_costs():
     """Filtering may run on predicted costs, but the curve pays true prices."""
     from equirouter.dataset import make_split

@@ -392,7 +392,8 @@ def test_replacing_a_keyed_array_refreshes_the_terms(how):
 
 def test_route_computes_model_terms_once(monkeypatch):
     # a repeated single-query route() runs only the trunk's two layers and
-    # the head's output layer; film, projection, c and W1^T are reused
+    # the head's output layer; film, projection, c and W1^T are reused.
+    # Predicted costs add the cost predictor's two layers.
     calls = []
     forward = neuralnet_module.forward
 
@@ -405,11 +406,16 @@ def test_route_computes_model_terms_once(monkeypatch):
     p = init_equirouter(tiny_hyper(5, 3, seed=1))
     Q = make_rng(14, 0).standard_normal((4, 5))
     table = make_table(perf=np.zeros((4, 3)), cost=np.ones((4, 3)), embeddings=Q)
+    cp, _ = train_cost_predictor(table, (np.arange(4), np.array([], dtype=int)),
+                                 MlpHyper(d_q=5, n_models=3, hidden=4, epochs=1))
     route(p, table, 0, 1.0, cost_source="oracle")
     for n in (1, 2, 3, 1):
         calls.clear()
         route(p, table, n, 1.0, cost_source="oracle")
         assert len(calls) == 3
+        calls.clear()
+        route(p, table, n, 1.0, "predicted", cp)
+        assert len(calls) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -1027,6 +1033,80 @@ def test_route_decides_as_the_prefix_table(kind, small_synth):
         for j, n in enumerate(queries):
             d = route(router, t, n, b, source, cp)
             assert (d.chosen, d.feasible_clamped) == (row_choices[j], row_clamped[j])
+
+
+ROUTE_KINDS = ["oracle", "equirouter", "equirouter_nojoint", "mse", "mlp", "knn"]
+
+
+def _routing_setup(kind: str, t: RoutingTable):
+    """A briefly trained router of `kind` and a cost predictor on t."""
+    split = make_split(t.n_queries, (3, 1, 6), seed=5)
+    mlp_hyper = MlpHyper(d_q=t.embed_dim, n_models=t.n_models, hidden=8, epochs=2,
+                         batch_size=64)
+    hyper = tiny_hyper(t.embed_dim, t.n_models, epochs=2)
+    cp, _ = train_cost_predictor(t, split, mlp_hyper)
+    if kind == "oracle":
+        return OracleRouter(), cp
+    if kind == "equirouter":
+        return train_equirouter(t, split, hyper)[0], cp
+    if kind == "equirouter_nojoint":
+        return train_equirouter(t, split, hyper, joint_feature=False)[0], cp
+    if kind == "mse":
+        return train_mse_ablation(t, split, hyper)[0], cp
+    if kind == "mlp":
+        return train_mlp_router(t, split, mlp_hyper)[0], cp
+    return train_knn_router(t, split, k=5), cp
+
+
+@pytest.mark.parametrize("kind", ROUTE_KINDS)
+def test_route_arrays_are_the_batch_paths_bytes(kind, small_synth):
+    # route() scores its row as a view, the batch path as an index copy
+    t = small_synth
+    router, cp = _routing_setup(kind, t)
+    for source in ("oracle", "predicted"):
+        for n in (0, 1, 137, 256, t.n_queries - 1):
+            d = route(router, t, n, 1.0, source, cp)
+            want_scores = router_scores(router, t, [n])[0]
+            want_costs = filter_costs(router, t, [n], source, cp)[0]
+            assert d.scores.shape == want_scores.shape == (t.n_models,)
+            assert d.scores.tobytes() == want_scores.tobytes()
+            assert d.predicted_costs.shape == want_costs.shape
+            assert d.predicted_costs.tobytes() == want_costs.tobytes()
+
+
+@pytest.mark.parametrize("kind", ROUTE_KINDS)
+def test_writing_into_a_decision_cannot_change_the_table(kind, small_synth):
+    # arrays read from the table (the oracle's scores, true costs) may be
+    # read-only views of its rows; computed ones are the decision's own
+    t = small_synth
+    router, cp = _routing_setup(kind, t)
+    before = [a.copy() for a in (t.perf, t.cost, t.embeddings)]
+    for source in ("oracle", "predicted"):
+        d = route(router, t, 7, 1.0, source, cp)
+        computed = kind != "oracle"
+        owned = ((d.scores, computed), (d.predicted_costs, computed and source != "oracle"))
+        for arr, own in owned:
+            if own:
+                assert arr.flags.writeable
+            try:
+                arr[...] = -1.0
+            except ValueError:  # a read-only view
+                assert not arr.flags.writeable
+        for a, b in zip((t.perf, t.cost, t.embeddings), before):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["oracle", "mlp", "knn"])
+def test_route_refuses_an_unknown_cost_source_for_every_kind(kind, small_synth):
+    # the oracle filters on true costs whatever the source, but a source
+    # that is neither is refused for it too
+    t = small_synth
+    router, cp = _routing_setup(kind, t)
+    for predictor in (None, cp):
+        with pytest.raises(ValueError, match="unknown cost_source 'bogus'"):
+            route(router, t, 0, 1.0, cost_source="bogus", cost_predictor=predictor)
+        with pytest.raises(ValueError, match="unknown cost_source 'bogus'"):
+            filter_costs(router, t, [0, 1], "bogus", predictor)
 
 
 @pytest.mark.parametrize("n", [-1, 10, 3.7, True])
