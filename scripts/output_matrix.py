@@ -18,7 +18,8 @@ before any write: `refuse-kind` offers the EquiRouter checkpoint as an MLP,
 `refuse-split` offers the kNN checkpoint to a run at another split.seed,
 `refuse-empty-test` runs a pipeline whose split.ratio (1000:1:1) leaves the
 test split empty, and `refuse-nan-gate` one with threshold.min_nauc = nan.
-Last, `run_ablation.py` and `run_noise_collapse.py` run at 600 queries, and
+Last, `run_ablation.py` and `run_noise_collapse.py` run at 600 queries, the
+latter writing its noise curve to OUT/run_noise_collapse.csv, and
 `synth-9000` writes a 9000-query table that `oracle-sweep-9000` loads, so
 table I/O crosses row-block boundaries (dataset.IO_BLOCK) both ways.
 Every table directory holds a `table.bin` sidecar that load_table reads in
@@ -198,7 +199,8 @@ def run_matrix(out: Path, tree: Path) -> list[str]:
         cli("refuse-empty-test", "pipeline", "--config", "empty-test.cfg"),
         cli("refuse-nan-gate", "pipeline", "--config", "nan-gate.cfg"),
         ("run_ablation", ["scripts/run_ablation.py", "--queries", "600", "--epochs", "5"]),
-        ("run_noise_collapse", ["scripts/run_noise_collapse.py", "--queries", "600"]),
+        ("run_noise_collapse", ["scripts/run_noise_collapse.py", "--queries", "600",
+                                "--out", "run_noise_collapse.csv"]),
         cli("synth-9000", "synth", "--config", "synth9000.cfg"),
         cli("oracle-sweep-9000", "sweep", "--config", "table9000.cfg", "--router", "oracle"),
     ]

@@ -40,9 +40,16 @@ every cell's run in order, which is the chunk's text.
 Subnormal and non-finite values, which tables rarely or never hold, are
 written by ``repr`` into their cells. The lookup tables are built at import;
 working memory is one chunk of at most CHUNK values, whatever the block.
+
+Every report CSV goes through `write_csv`: named 1-D columns, written by
+``csv.writer`` with rows ended by ``\\r\\n``.
 """
 
 from __future__ import annotations
+
+import csv
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -389,3 +396,18 @@ def format_rows(block: np.ndarray, sep: str) -> bytes:
     step = max(1, CHUNK // cols)
     return b"".join(_format_chunk(block[s:s + step], seps, sep_word, layout)
                     for s in range(0, rows, step))
+
+
+def write_csv(path: Path | str, columns: dict[str, Sequence]) -> None:
+    """Write a report: a header of the column names, then row i of every 1-D
+    column, each float as ``repr`` writes it (``csv.writer`` does so), each
+    integer as ``str`` does. Raises ValueError before writing unless the
+    columns are 1-D and of one length."""
+    arrays = [np.asarray(c) for c in columns.values()]
+    if len({a.shape for a in arrays}) > 1 or any(a.ndim != 1 for a in arrays):
+        raise ValueError("report columns must be 1-D and of one length: "
+                         f"{[a.shape for a in arrays]}")
+    with Path(path).open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(columns)
+        w.writerows(zip(*(a.tolist() for a in arrays)))

@@ -48,7 +48,6 @@ nothing is written), 2 runtime/numerics error, 3 metric threshold violated.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import operator
 import sys
@@ -59,6 +58,7 @@ import numpy as np
 
 from . import evaluation as ev
 from . import router as rt
+from ._floatfmt import write_csv
 from .dataset import (
     RoutingTable,
     SplitIndices,
@@ -385,11 +385,8 @@ def _train_router(cfg: ExperimentConfig, table: RoutingTable, split: SplitIndice
 
 
 def _write_train_log(log, path: Path) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "train_loss", "val_loss"])
-        for row in log:
-            w.writerow([row.epoch, repr(row.train_loss), repr(row.val_loss)])
+    write_csv(path, {name: [getattr(row, name) for row in log]
+                     for name in ("epoch", "train_loss", "val_loss")})
 
 
 def _train_and_save(cfg: ExperimentConfig, table: RoutingTable, split: SplitIndices, out: Path):
@@ -508,9 +505,7 @@ def cmd_diagnose(cfg: ExperimentConfig) -> int:
         return _train_router(cfg, tbl, (train_idx, valid_idx))[0]
 
     summary, _ = ev.training_set_eval(train_fn, table, n_points=cfg.grid_points)
-    (out / "trainset_metrics.json").write_text(
-        json.dumps(ev.metrics_to_dict(summary), sort_keys=True) + "\n"
-    )
+    ev.write_metrics_json(summary, out / "trainset_metrics.json")
     print(f"diagnostics written to {out}")
     return EXIT_OK
 

@@ -17,15 +17,13 @@ K = 11 an oracle sweep peaks at about 5.3 (N, K) float64 tables, set by the
 prefix table's build.
 Means sum pairwise in fixed query order, exactly as np.mean of one budget's
 values does, so results are reproducible bit for bit. The curve (SweepCurve)
-is columns, one entry per budget, and curve.csv writes them row by row.
-
-The collapse report (rci) keeps its per-query values as numpy columns, which
-rci_detail.csv writes row by row.
+is columns, one entry per budget, and so is the collapse report (rci) with
+its per-query values. Every report CSV is written from such columns by
+_floatfmt.write_csv.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -33,6 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._floatfmt import write_csv
 from .dataset import RoutingTable
 from .oracle import prefix_table, select_under_budget_batch
 from .rng import STREAM_NOISE, make_rng
@@ -395,19 +394,11 @@ def noise_sensitivity(
 
 
 def write_curve_csv(curve: SweepCurve, path: Path | str) -> None:
-    K = curve.calls.shape[1]
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["budget", "mean_cost", "mean_perf"]
-            + [f"calls_model_{j}" for j in range(K)]
-            + ["clamped"]
-        )
-        for budget, cost, perf, calls, clamped in zip(
-            curve.budget.tolist(), curve.mean_cost.tolist(), curve.mean_perf.tolist(),
-            curve.calls.tolist(), curve.clamped.tolist(),
-        ):
-            w.writerow([repr(budget), repr(cost), repr(perf)] + calls + [clamped])
+    write_csv(path, {
+        "budget": curve.budget, "mean_cost": curve.mean_cost, "mean_perf": curve.mean_perf,
+        **{f"calls_model_{j}": calls for j, calls in enumerate(curve.calls.T)},
+        "clamped": curve.clamped,
+    })
 
 
 def metrics_to_dict(summary: MetricsSummary) -> dict:
@@ -431,28 +422,16 @@ def write_metrics_json(summary: MetricsSummary, path: Path | str) -> None:
 
 
 def write_rci_csv(report: CollapseReport, path: Path | str) -> None:
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "m_n", "a_sel", "a_star", "x_n", "k_n", "s_n"])
-        w.writerows(zip(
-            report.n.tolist(), report.m_n.tolist(), map(repr, report.a_sel.tolist()),
-            map(repr, report.a_star.tolist()), report.x_n.tolist(), report.k_n.tolist(),
-            map(repr, report.s_n.tolist()),
-        ))
+    write_csv(path, {name: getattr(report, name)
+                     for name in ("n", "m_n", "a_sel", "a_star", "x_n", "k_n", "s_n")})
 
 
 def write_noise_csv(rows: Sequence[NoiseRow], path: Path | str) -> None:
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sigma", "accuracy", "strongest_share"])
-        for r in rows:
-            w.writerow([repr(r.sigma), repr(r.accuracy), repr(r.strongest_share)])
+    write_csv(path, {name: [getattr(r, name) for r in rows]
+                     for name in ("sigma", "accuracy", "strongest_share")})
 
 
 def write_callrates_csv(rates: tuple[np.ndarray, np.ndarray], path: Path | str) -> None:
     budgets, shares = rates
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["budget"] + [f"share_model_{j}" for j in range(shares.shape[1])])
-        for budget, row in zip(budgets.tolist(), shares.tolist()):
-            w.writerow([repr(budget)] + [repr(s) for s in row])
+    write_csv(path, {"budget": budgets,
+                     **{f"share_model_{j}": share for j, share in enumerate(shares.T)}})

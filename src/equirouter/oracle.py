@@ -30,13 +30,13 @@ arithmetic touches a score or cost.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._floatfmt import write_csv
 from .dataset import RoutingTable
 
 
@@ -219,8 +219,5 @@ def margin_stats(
 
 
 def write_margin_cdf_csv(stats: MarginStats, path: Path | str) -> None:
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["threshold", "cdf"])
-        for t in sorted(stats.cdf_at):
-            w.writerow([repr(t), repr(stats.cdf_at[t])])
+    thresholds = sorted(stats.cdf_at)
+    write_csv(path, {"threshold": thresholds, "cdf": [stats.cdf_at[t] for t in thresholds]})

@@ -1089,6 +1089,11 @@ def load_router(path: Path | str):
         except TypeError as exc:
             raise ValueError(f"{path}: checkpoint field 'hyper': {exc}") from None
 
+    def fitted(shapes: list[tuple]) -> list[np.ndarray]:
+        if [a.shape for a in params] != shapes:
+            raise ValueError(f"{path}: checkpoint arrays do not fit its field 'hyper'")
+        return params
+
     kind = field("router_type")
     if kind in EQUI_TAGS:
         router = init_equirouter(hyper(EquiHyper), kind)
@@ -1096,17 +1101,20 @@ def load_router(path: Path | str):
         if joint is not router.joint_feature:
             raise ValueError(f"{path}: checkpoint field 'joint_feature' is {joint!r}, but "
                              f"router_type {kind!r} has joint_feature {router.joint_feature}")
-        if [a.shape for a in params] != [a.shape for a in params_list(router)]:
-            raise ValueError(f"{path}: checkpoint arrays do not fit its field 'hyper'")
-        assign_params(router, params)
+        assign_params(router, fitted([a.shape for a in params_list(router)]))
         return router
-    if kind == "mlp":
-        w1, b1, w2, b2 = params
-        return MlpRouterParams(
-            hidden_layer=DenseLayer(w1, b1, "relu"),
-            output_layer=DenseLayer(w2, b2, "identity"),
-            hyper=hyper(MlpHyper),
-        )
+    if kind in ("mlp", "cost"):
+        h = hyper(MlpHyper)
+        # weights are (out, in), as init_dense makes them; shapes are compared,
+        # never built, so no hyper value can fail inside numpy
+        shapes = [(h.hidden, h.d_q), (h.hidden,), (h.n_models, h.hidden), (h.n_models,)]
+        if kind == "cost":
+            shapes += [(h.n_models,)] * 2  # target mean and std
+        w1, b1, w2, b2, *targets = fitted(shapes)
+        layers = DenseLayer(w1, b1, "relu"), DenseLayer(w2, b2, "identity")
+        if kind == "mlp":
+            return MlpRouterParams(*layers, hyper=h)
+        return CostPredictorParams(*layers, *targets, hyper=h)
     if kind == "knn":
         k, train, seed = field("k"), field("train_indices"), field("split_seed")
         # a JSON integer decodes to an int, and a bool's type is not int
@@ -1118,15 +1126,6 @@ def load_router(path: Path | str):
         if type(seed) is not int:
             raise ValueError(f"{path}: checkpoint field 'split_seed' is not an integer: {seed!r}")
         return KnnRouterParams(k=k, train_indices=tuple(train), split_seed=seed)
-    if kind == "cost":
-        w1, b1, w2, b2, mean, std = params
-        return CostPredictorParams(
-            hidden_layer=DenseLayer(w1, b1, "relu"),
-            output_layer=DenseLayer(w2, b2, "identity"),
-            target_mean=mean,
-            target_std=std,
-            hyper=hyper(MlpHyper),
-        )
     if kind == "oracle":
         return OracleRouter()
     raise ValueError(f"unknown router_type {kind!r} in checkpoint")

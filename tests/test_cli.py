@@ -43,6 +43,7 @@ from equirouter.dataset import (
     save_split,
     save_table,
 )
+from equirouter.neuralnet import load_checkpoint, save_checkpoint
 from equirouter.router import EquiHyper, init_equirouter, save_router, train_knn_router
 
 from conftest import constant_policy_router, make_table
@@ -753,6 +754,27 @@ def test_malformed_knn_checkpoint_exits_1_before_any_write(tmp_path, capsys, edi
     assert main(["sweep", "--config", cfg, "--checkpoint", str(ckpt)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"error: checkpoint {ckpt}: ") and error in err, err
+    assert not out.exists()
+
+
+def test_sweep_refuses_mlp_checkpoint_whose_arrays_do_not_fit_its_hyper(tmp_path, capsys):
+    # a first weight one column wider than hyper's d_q would load, and the
+    # sweep would fail only after creating its output directory
+    n = 40
+    table = make_table(perf=[[0.2, 0.9, 0.5]] * n, cost=[[1.0, 2.0, 3.0]] * n)
+    tdir = tmp_path / "table"
+    save_table(table, tdir)
+    save_split(make_split(n, (3, 1, 6), 42), tdir / "split.json")
+    ckpt = tmp_path / "mlp.ckpt"
+    save_router(ckpt, constant_policy_router(table, favored=0))
+    header, arrays = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, header, [np.zeros((4, table.embed_dim + 1)), *arrays[1:]])
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "router = mlp\ncost_source = oracle\n", table=tdir, out=out)
+    assert main(["sweep", "--config", cfg, "--checkpoint", str(ckpt)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"error: checkpoint {ckpt}: {ckpt}: checkpoint arrays do not fit its "
+                   "field 'hyper'\n")
     assert not out.exists()
 
 

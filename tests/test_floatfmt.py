@@ -1,10 +1,19 @@
-"""The table writer's float formatter, byte for byte against repr."""
+"""The table writer's float formatter, byte for byte against repr, and the
+report writer against csv.writer with repr."""
+
+import csv
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from equirouter import _floatfmt
-from equirouter._floatfmt import format_rows
+from equirouter._floatfmt import format_rows, write_csv
 
 
 def _repr_rows(block, sep=","):
@@ -69,3 +78,51 @@ def test_format_rows_separators_and_shapes():
 def test_format_rows_writes_non_finite_values_as_repr():
     block = np.array([[np.nan, np.inf, -np.inf, 1.5, 5e-324, -0.0]])
     assert format_rows(block, ",") == b"nan,inf,-inf,1.5,5e-324,-0.0\n"
+
+
+def _csv_reference(path, columns):
+    """A report as csv.writer writes it with repr of every float and str of
+    every integer."""
+    cells = [[repr(float(v)) if np.asarray(col).dtype.kind == "f" else str(int(v)) for v in col]
+             for col in columns.values()]
+    with Path(path).open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(list(columns))
+        for row in zip(*cells):
+            w.writerow(row)
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072009e-308,
+                  1.0, -3.0, 1e16, 2.0**53, 1e-05, 0.1]
+
+
+@settings(max_examples=150)
+@given(data=st.data(), rows=st.integers(0, 12),
+       kinds=st.lists(st.sampled_from(["int", "float"]), min_size=1, max_size=6))
+def test_write_csv_matches_csv_writer_with_repr(data, rows, kinds):
+    floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL_FLOATS)
+    integers = st.integers(-(2**63), 2**63 - 1)
+    columns = {}
+    for j, kind in enumerate(kinds):
+        if kind == "int":
+            columns[f"count_{j}"] = data.draw(arrays(np.int64, rows, elements=integers))
+        else:
+            columns[f"value_{j}"] = data.draw(arrays(np.float64, rows, elements=floats))
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        write_csv(got, columns)
+        _csv_reference(want, columns)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_csv_refuses_columns_of_unequal_length_before_writing(tmp_path):
+    path = tmp_path / "report.csv"
+    with pytest.raises(ValueError, match="one length"):
+        write_csv(path, {"n": np.arange(3), "s_n": np.zeros(2)})
+    with pytest.raises(ValueError, match="1-D"):
+        write_csv(path, {"calls": np.zeros((2, 2), dtype=np.int64)})
+    assert not path.exists()
+    write_csv(path, {"n": [], "s_n": np.zeros(0)})
+    assert path.read_bytes() == b"n,s_n\r\n"
+    write_csv(path, {"epoch": [0, 1], "loss": [1.0, 0.5]})
+    assert path.read_bytes() == b"epoch,loss\r\n0,1.0\r\n1,0.5\r\n"

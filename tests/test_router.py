@@ -1275,6 +1275,33 @@ def test_load_router_refuses_arrays_that_do_not_fit_hyper(tmp_path, small_synth)
         load_router(path)
 
 
+@pytest.mark.parametrize("kind", ["mlp", "cost"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda arrays: arrays[:-1], id="dropped-array"),
+        pytest.param(lambda arrays: [np.zeros((8, 9)), *arrays[1:]], id="wide-first-weight"),
+        pytest.param(lambda arrays: [*arrays[:-1], np.ones(4)], id="long-last-array"),
+    ],
+)
+def test_load_router_refuses_two_layer_arrays_that_do_not_fit_hyper(tmp_path, kind, edit):
+    # unchecked, a missing array fails to unpack without naming a field, and
+    # a wrong shape loads and fails once a sweep has begun writing
+    hyper = MlpHyper(d_q=8, n_models=3, hidden=8)
+    layers = _init_two_layer(hyper)
+    path = tmp_path / f"{kind}.ckpt"
+    if kind == "mlp":
+        save_router(path, MlpRouterParams(*layers, hyper))
+    else:
+        save_cost_predictor(path, CostPredictorParams(*layers, np.zeros(3), np.ones(3), hyper))
+    assert load_router(path).tag == kind
+    header, arrays = load_checkpoint(path)
+    save_checkpoint(path, header, edit(arrays))
+    with pytest.raises(ValueError) as info:
+        load_router(path)
+    assert str(info.value) == f"{path}: checkpoint arrays do not fit its field 'hyper'"
+
+
 @pytest.mark.parametrize(
     "edit, error",
     [
