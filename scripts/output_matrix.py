@@ -13,11 +13,14 @@ driver, so a base tree runs it too: it loads the matrix's table and every
 trained kind's checkpoint and writes `route.csv`, one `route()` decision
 per row with the repr of every score and filter cost, for six queries from
 the first to the last at budgets NaN, 0, inf and one equal to a filter
-cost, under both cost sources. Four more steps must be refused with exit 1
+cost, under both cost sources. Five more steps must be refused with exit 1
 before any write: `refuse-kind` offers the EquiRouter checkpoint as an MLP,
 `refuse-split` offers the kNN checkpoint to a run at another split.seed,
-`refuse-empty-test` runs a pipeline whose split.ratio (1000:1:1) leaves the
-test split empty, and `refuse-nan-gate` one with threshold.min_nauc = nan.
+`refuse-hyper-type` offers the EquiRouter checkpoint with its hyper.d_q
+rewritten as the float 8.0 (by HYPER_TYPE, the `python -c` driver of the
+`hyper-type` step), `refuse-empty-test` runs a pipeline whose split.ratio
+(1000:1:1) leaves the test split empty, and `refuse-nan-gate` one with
+threshold.min_nauc = nan.
 Last, `run_ablation.py` and `run_noise_collapse.py` run at 600 queries, the
 latter writing its noise curve to OUT/run_noise_collapse.csv, and
 `synth-9000` writes a 9000-query table that `oracle-sweep-9000` loads, so
@@ -25,7 +28,7 @@ table I/O crosses row-block boundaries (dataset.IO_BLOCK) both ways.
 Every table directory holds a `table.bin` sidecar that load_table reads in
 place of the text; `oracle-sweep-text` repeats `oracle-sweep` on a copy of
 the table without it, `table-text/`, and must write the same bytes.
-The script exits 1 if a step exits otherwise than expected (1 for the four
+The script exits 1 if a step exits otherwise than expected (1 for the five
 refusals and for training the oracle, 0 for the rest), a refused step
 writes its output directory, or the two oracle sweeps differ; it still
 writes every step first.
@@ -129,9 +132,23 @@ out.mkdir()
 (out / "route.csv").write_text("\\n".join(rows) + "\\n")
 """
 
+# `python -c` driver of the hyper-type step, run inside OUT as
+# `python -c HYPER_TYPE STEP`: the EquiRouter checkpoint with hyper.d_q
+# rewritten as the float 8.0, written to STEP/equirouter.ckpt
+HYPER_TYPE = """\
+import sys
+from pathlib import Path
+from equirouter.neuralnet import load_checkpoint, save_checkpoint
+header, arrays = load_checkpoint("equirouter-train/equirouter.ckpt")
+header["hyper"]["d_q"] = 8.0
+out = Path(sys.argv[1])
+out.mkdir()
+save_checkpoint(out / "equirouter.ckpt", header, arrays)
+"""
+
 # steps that must exit 1 and write nothing; every other step must exit 0
-REFUSED = ("oracle-train", "refuse-kind", "refuse-split", "refuse-empty-test",
-           "refuse-nan-gate")
+REFUSED = ("oracle-train", "refuse-kind", "refuse-split", "refuse-hyper-type",
+           "refuse-empty-test", "refuse-nan-gate")
 
 
 def run(out: Path, env: dict, tree: Path, step: str, *argv: str) -> int:
@@ -192,6 +209,9 @@ def run_matrix(out: Path, tree: Path) -> list[str]:
             "--checkpoint", "equirouter-train/equirouter.ckpt"),
         cli("refuse-split", "sweep", "--config", "split7.cfg", "--router", "knn",
             "--checkpoint", "knn-train/knn.ckpt"),
+        ("hyper-type", ["-c", HYPER_TYPE, "hyper-type"]),
+        cli("refuse-hyper-type", "sweep", "--config", "table.cfg", "--router", "equirouter",
+            "--checkpoint", "hyper-type/equirouter.ckpt"),
         cli("equirouter-pipeline-k11", "pipeline", "--config", "synth-k11.cfg",
             "--router", "equirouter"),
         cli("oracle-diagnose-k11", "diagnose", "--config", "synth-k11.cfg",

@@ -25,7 +25,7 @@ _floatfmt.write_csv.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -402,19 +402,11 @@ def write_curve_csv(curve: SweepCurve, path: Path | str) -> None:
 
 
 def metrics_to_dict(summary: MetricsSummary) -> dict:
-    return {
-        "nauc": summary.nauc,
-        "peak_score": summary.peak_score,
-        "peak_cost": summary.peak_cost,
-        "qnc": QNC_SENTINEL if summary.qnc is None else summary.qnc,
-        "qnc_relative": (
-            QNC_SENTINEL if summary.qnc_relative is None else summary.qnc_relative
-        ),
-        "rci": summary.rci,
-        "a_max": summary.a_max,
-        "x_max": summary.x_max,
-        "j_max": summary.j_max,
-    }
+    d = asdict(summary)
+    for name in ("qnc", "qnc_relative"):
+        if d[name] is None:
+            d[name] = QNC_SENTINEL
+    return d
 
 
 def write_metrics_json(summary: MetricsSummary, path: Path | str) -> None:

@@ -87,7 +87,7 @@ same.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -721,8 +721,7 @@ class CostPredictorParams:
     standardization).
     """
 
-    hidden_layer: DenseLayer  # d_q -> H, relu
-    output_layer: DenseLayer  # H -> K, linear
+    layers: list[DenseLayer]  # d_q -> H, relu; H -> K, linear
     target_mean: np.ndarray  # (K,)
     target_std: np.ndarray  # (K,)
     hyper: MlpHyper
@@ -733,18 +732,17 @@ class CostPredictorParams:
 class MlpRouterParams:
     """Baseline: two-layer MLP regressing per-model performance."""
 
-    hidden_layer: DenseLayer
-    output_layer: DenseLayer
+    layers: list[DenseLayer]  # d_q -> H, relu; H -> K, linear
     hyper: MlpHyper
     tag: str = "mlp"
 
 
-def _init_two_layer(hyper: MlpHyper) -> tuple[DenseLayer, DenseLayer]:
+def _init_two_layer(hyper: MlpHyper) -> list[DenseLayer]:
     rng = make_rng(hyper.seed, STREAM_INIT)
-    return (
+    return [
         init_dense(rng, hyper.d_q, hyper.hidden, "relu"),
         init_dense(rng, hyper.hidden, hyper.n_models),
-    )
+    ]
 
 
 def _regressor_objective(
@@ -763,8 +761,8 @@ def _train_two_layer(
     Q_valid: np.ndarray,
     T_valid: np.ndarray,
     hyper: MlpHyper,
-) -> tuple[DenseLayer, DenseLayer, list[TrainLogRow]]:
-    layers = list(_init_two_layer(hyper))
+) -> tuple[list[DenseLayer], list[TrainLogRow]]:
+    layers = _init_two_layer(hyper)
 
     def val_loss() -> float:
         return _mse(forward_layers(layers, Q_valid)[0], T_valid)[0]
@@ -777,7 +775,7 @@ def _train_two_layer(
         Q_train.shape[0],
         hyper,
     )
-    return layers[0], layers[1], log
+    return layers, log
 
 
 def train_cost_predictor(
@@ -790,30 +788,21 @@ def train_cost_predictor(
     mean = costs.mean(axis=0)
     std = costs.std(axis=0)
     std = np.where(std > 0.0, std, 1.0)
-    l1, l2, log = _train_two_layer(
+    layers, log = _train_two_layer(
         table.embeddings[train_idx],
         (costs - mean) / std,
         table.embeddings[valid_idx],
         (table.cost[valid_idx] - mean) / std,
         hyper,
     )
-    return (
-        CostPredictorParams(
-            hidden_layer=l1,
-            output_layer=l2,
-            target_mean=mean,
-            target_std=std,
-            hyper=hyper,
-        ),
-        log,
-    )
+    return CostPredictorParams(layers, mean, std, hyper), log
 
 
 def predict_costs(cp: CostPredictorParams, Q: np.ndarray) -> np.ndarray:
     """De-standardized cost predictions, floored at the smallest positive float."""
     def block(q: np.ndarray) -> np.ndarray:
         # a fresh array, de-standardized in place
-        y = forward_layers([cp.hidden_layer, cp.output_layer], q)[0]
+        y = forward_layers(cp.layers, q)[0]
         y *= cp.target_std
         y += cp.target_mean
         return np.maximum(y, COST_FLOOR, out=y)
@@ -827,14 +816,14 @@ def train_mlp_router(
     if hyper is None:
         hyper = MlpHyper(d_q=table.embed_dim, n_models=table.n_models)
     train_idx, valid_idx = _train_valid_arrays(split)
-    l1, l2, log = _train_two_layer(
+    layers, log = _train_two_layer(
         table.embeddings[train_idx],
         table.perf[train_idx],
         table.embeddings[valid_idx],
         table.perf[valid_idx],
         hyper,
     )
-    return MlpRouterParams(hidden_layer=l1, output_layer=l2, hyper=hyper), log
+    return MlpRouterParams(layers, hyper), log
 
 
 # ---------------------------------------------------------------------------
@@ -954,8 +943,7 @@ def _scores(router: Router, table: RoutingTable, rows) -> np.ndarray:
     if isinstance(router, EquiRouterParams):
         return scores_batch(router, Q)
     if isinstance(router, MlpRouterParams):
-        layers = [router.hidden_layer, router.output_layer]
-        return _in_blocks(lambda q: forward_layers(layers, q)[0], Q)
+        return _in_blocks(lambda q: forward_layers(router.layers, q)[0], Q)
     if isinstance(router, KnnRouterParams):
         return knn_scores(router, table, Q)
     raise TypeError(f"unknown router type {type(router)!r}")
@@ -1038,45 +1026,56 @@ def route(
 # checkpoints
 
 
-def save_router(path: Path | str, router: Router) -> None:
-    if isinstance(router, EquiRouterParams):
-        header = {
-            "router_type": router.tag,
-            "joint_feature": router.joint_feature,
-            "hyper": asdict(router.hyper),
-        }
-        save_checkpoint(path, header, params_list(router))
-    elif isinstance(router, MlpRouterParams):
-        header = {"router_type": "mlp", "hyper": asdict(router.hyper)}
-        layers = [router.hidden_layer, router.output_layer]
-        save_checkpoint(path, header, _layer_params(layers))
-    elif isinstance(router, KnnRouterParams):
-        header = {
-            "router_type": "knn",
-            "k": router.k,
-            "split_seed": router.split_seed,
-            "train_indices": list(router.train_indices),
-        }
-        save_checkpoint(path, header, [])
-    elif isinstance(router, OracleRouter):
-        save_checkpoint(path, {"router_type": "oracle"}, [])
+# the hyperparameters that size a network's arrays
+_HYPER_SIZES = ("d_q", "n_models", "d_m", "latent_dim", "hidden")
+
+
+def _arrays(net: EquiRouterParams | MlpRouterParams | CostPredictorParams) -> list[np.ndarray]:
+    """A trained network's checkpoint arrays: `params_list` for an EquiRouter,
+    else the layer arrays, then a cost predictor's target mean and std."""
+    if isinstance(net, EquiRouterParams):
+        return params_list(net)
+    arrays = _layer_params(net.layers)
+    if isinstance(net, CostPredictorParams):
+        arrays += [net.target_mean, net.target_std]
+    return arrays
+
+
+def _assign_arrays(net, values: list[np.ndarray]) -> None:
+    """Inverse of _arrays."""
+    if isinstance(net, EquiRouterParams):
+        assign_params(net, values)
+        return
+    _assign_layers(net.layers, values)
+    if isinstance(net, CostPredictorParams):
+        net.target_mean, net.target_std = values[-2:]
+
+
+def save_router(path: Path | str, router: Router | CostPredictorParams) -> None:
+    """Write a checkpoint: a kNN router's header, or a trained network's
+    header and `_arrays`. The oracle has no checkpoint."""
+    if isinstance(router, KnnRouterParams):
+        header, arrays = {"router_type": "knn", "k": router.k, "split_seed": router.split_seed,
+                          "train_indices": list(router.train_indices)}, []
+    elif isinstance(router, (EquiRouterParams, MlpRouterParams, CostPredictorParams)):
+        header = {"router_type": router.tag, "hyper": asdict(router.hyper)}
+        arrays = _arrays(router)
+        if isinstance(router, EquiRouterParams):
+            header["joint_feature"] = router.joint_feature
     else:
         raise TypeError(f"cannot checkpoint router type {type(router)!r}")
+    save_checkpoint(path, header, arrays)
 
 
 def save_cost_predictor(path: Path | str, cp: CostPredictorParams) -> None:
-    header = {"router_type": "cost", "hyper": asdict(cp.hyper)}
-    layers = [cp.hidden_layer, cp.output_layer]
-    save_checkpoint(
-        path, header, [*_layer_params(layers), cp.target_mean, cp.target_std]
-    )
+    save_router(path, cp)
 
 
 def load_router(path: Path | str):
     """Load any checkpoint written by save_router or save_cost_predictor;
     ValueError naming the file and the field when a header field is missing
-    or its hyperparameters do not fit."""
-    header, params = load_checkpoint(path)
+    or malformed, or the arrays do not fit its hyperparameters."""
+    header, arrays = load_checkpoint(path)
 
     def field(name: str):
         if name not in header:
@@ -1084,40 +1083,27 @@ def load_router(path: Path | str):
         return header[name]
 
     def hyper(cls):
+        """The 'hyper' field as a `cls`, checked before a network is built
+        from it: int fields are ints, and sizes are >= 1 and, as in any file
+        that fits, an axis length of its arrays, bounding the network's size."""
         try:
-            return cls(**field("hyper"))
+            h = cls(**field("hyper"))
         except TypeError as exc:
             raise ValueError(f"{path}: checkpoint field 'hyper': {exc}") from None
-
-    def fitted(shapes: list[tuple]) -> list[np.ndarray]:
-        if [a.shape for a in params] != shapes:
-            raise ValueError(f"{path}: checkpoint arrays do not fit its field 'hyper'")
-        return params
+        axes = {n for a in arrays for n in a.shape}
+        # a JSON integer decodes to an int, and a bool's type is not int
+        for f in fields(h):
+            value, size = getattr(h, f.name), f.name in _HYPER_SIZES
+            if f.type == "int" and not (type(value) is int and (value >= 1 or not size)):
+                raise ValueError(f"{path}: checkpoint field 'hyper': {f.name} is not an "
+                                 f"integer{' >= 1' if size else ''}: {value!r}")
+            if size and value not in axes:
+                raise ValueError(f"{path}: checkpoint arrays do not fit its field 'hyper'")
+        return h
 
     kind = field("router_type")
-    if kind in EQUI_TAGS:
-        router = init_equirouter(hyper(EquiHyper), kind)
-        joint = field("joint_feature")
-        if joint is not router.joint_feature:
-            raise ValueError(f"{path}: checkpoint field 'joint_feature' is {joint!r}, but "
-                             f"router_type {kind!r} has joint_feature {router.joint_feature}")
-        assign_params(router, fitted([a.shape for a in params_list(router)]))
-        return router
-    if kind in ("mlp", "cost"):
-        h = hyper(MlpHyper)
-        # weights are (out, in), as init_dense makes them; shapes are compared,
-        # never built, so no hyper value can fail inside numpy
-        shapes = [(h.hidden, h.d_q), (h.hidden,), (h.n_models, h.hidden), (h.n_models,)]
-        if kind == "cost":
-            shapes += [(h.n_models,)] * 2  # target mean and std
-        w1, b1, w2, b2, *targets = fitted(shapes)
-        layers = DenseLayer(w1, b1, "relu"), DenseLayer(w2, b2, "identity")
-        if kind == "mlp":
-            return MlpRouterParams(*layers, hyper=h)
-        return CostPredictorParams(*layers, *targets, hyper=h)
     if kind == "knn":
         k, train, seed = field("k"), field("train_indices"), field("split_seed")
-        # a JSON integer decodes to an int, and a bool's type is not int
         if not (type(k) is int and k >= 1):
             raise ValueError(f"{path}: checkpoint field 'k' is not an integer >= 1: {k!r}")
         if not (isinstance(train, list) and set(map(type, train)) <= {int}):
@@ -1126,6 +1112,22 @@ def load_router(path: Path | str):
         if type(seed) is not int:
             raise ValueError(f"{path}: checkpoint field 'split_seed' is not an integer: {seed!r}")
         return KnnRouterParams(k=k, train_indices=tuple(train), split_seed=seed)
-    if kind == "oracle":
-        return OracleRouter()
-    raise ValueError(f"unknown router_type {kind!r} in checkpoint")
+    # a trained network: its init builds the template the file's arrays must fit
+    if kind in EQUI_TAGS:
+        net = init_equirouter(hyper(EquiHyper), kind)
+        joint = field("joint_feature")
+        if joint is not net.joint_feature:
+            raise ValueError(f"{path}: checkpoint field 'joint_feature' is {joint!r}, but "
+                             f"router_type {kind!r} has joint_feature {net.joint_feature}")
+    elif kind == "mlp":
+        h = hyper(MlpHyper)
+        net = MlpRouterParams(_init_two_layer(h), h)
+    elif kind == "cost":
+        h = hyper(MlpHyper)
+        net = CostPredictorParams(_init_two_layer(h), np.zeros(h.n_models), np.ones(h.n_models), h)
+    else:
+        raise ValueError(f"unknown router_type {kind!r} in checkpoint")
+    if [a.shape for a in arrays] != [a.shape for a in _arrays(net)]:
+        raise ValueError(f"{path}: checkpoint arrays do not fit its field 'hyper'")
+    _assign_arrays(net, arrays)
+    return net

@@ -199,12 +199,13 @@ def constant_policy_router(table, favored=0):
         MlpHyper(d_q=table.embed_dim, n_models=table.n_models, hidden=4, epochs=1,
                  batch_size=8),
     )
-    mlp.hidden_layer.weight = np.zeros_like(mlp.hidden_layer.weight)
-    mlp.hidden_layer.bias = np.zeros_like(mlp.hidden_layer.bias)
-    mlp.output_layer.weight = np.zeros_like(mlp.output_layer.weight)
+    hidden, output = mlp.layers
+    hidden.weight = np.zeros_like(hidden.weight)
+    hidden.bias = np.zeros_like(hidden.bias)
+    output.weight = np.zeros_like(output.weight)
     bias = np.zeros(table.n_models)
     bias[favored] = 1.0
-    mlp.output_layer.bias = bias
+    output.bias = bias
     return mlp
 
 

@@ -778,6 +778,28 @@ def test_sweep_refuses_mlp_checkpoint_whose_arrays_do_not_fit_its_hyper(tmp_path
     assert not out.exists()
 
 
+def test_sweep_refuses_checkpoint_whose_hyper_size_is_a_float(tmp_path, capsys):
+    # d_q = 8.0 once reached numpy inside init_equirouter and exited 2 with
+    # "'float' object cannot be interpreted as an integer", naming no field
+    n = 40
+    table = make_table(perf=[[0.2, 0.9, 0.5]] * n, cost=[[1.0, 2.0, 3.0]] * n,
+                       embeddings=np.random.default_rng(0).standard_normal((n, 8)))
+    tdir = tmp_path / "table"
+    save_table(table, tdir)
+    save_split(make_split(n, (3, 1, 6), 42), tdir / "split.json")
+    ckpt = tmp_path / "equirouter.ckpt"
+    save_router(ckpt, init_equirouter(EquiHyper(d_q=8, n_models=3, d_m=4, latent_dim=5)))
+    _edit_header(ckpt, lambda h: h["hyper"].update(d_q=8.0))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "router = equirouter\ncost_source = oracle\n", table=tdir,
+                       out=out)
+    assert main(["sweep", "--config", cfg, "--checkpoint", str(ckpt)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"error: checkpoint {ckpt}: {ckpt}: checkpoint field 'hyper': d_q is not "
+                   "an integer >= 1: 8.0\n")
+    assert not out.exists()
+
+
 def test_sweep_refuses_checkpoint_whose_joint_feature_contradicts_its_kind(tmp_path, capsys):
     # a no-joint network relabelled as the full EquiRouter: evaluating it
     # under --router equirouter would report the wrong ablation

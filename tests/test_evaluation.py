@@ -113,10 +113,11 @@ def test_sweep_realized_cost_uses_true_costs():
         t, split, MlpHyper(d_q=3, n_models=2, hidden=4, epochs=1, batch_size=8)
     )
     # force wildly wrong predictions: both models look free
-    cp.hidden_layer.weight = np.zeros_like(cp.hidden_layer.weight)
-    cp.hidden_layer.bias = np.zeros_like(cp.hidden_layer.bias)
-    cp.output_layer.weight = np.zeros_like(cp.output_layer.weight)
-    cp.output_layer.bias = -cp.target_mean / cp.target_std  # predicts ~0 cost
+    hidden, output = cp.layers
+    hidden.weight = np.zeros_like(hidden.weight)
+    hidden.bias = np.zeros_like(hidden.bias)
+    output.weight = np.zeros_like(output.weight)
+    output.bias = -cp.target_mean / cp.target_std  # predicts ~0 cost
     curve = sweep(OracleRouter(), t, range(6), [10.0], "oracle", cp)
     mlp = constant_policy_router(t, favored=1)
     curve = sweep(mlp, t, range(6), [10.0], "predicted", cp)

@@ -14,6 +14,7 @@ import equirouter.neuralnet as neuralnet_module
 import equirouter.router as router_module
 from equirouter.rng import make_rng
 from equirouter.router import (
+    EQUI_TAGS,
     CostPredictorParams,
     EquiHyper,
     KnnRouterParams,
@@ -272,9 +273,9 @@ def test_block_scoring_is_bitwise_one_batch(monkeypatch, k11_table, n):
         for j in (True, False)
     ]
     h = MlpHyper(d_q=24, n_models=11, hidden=64)
-    mlp = MlpRouterParams(*_init_two_layer(h), hyper=h)
+    mlp = MlpRouterParams(_init_two_layer(h), hyper=h)
     cp = CostPredictorParams(
-        *_init_two_layer(MlpHyper(d_q=24, n_models=11, hidden=64, seed=1)),
+        _init_two_layer(MlpHyper(d_q=24, n_models=11, hidden=64, seed=1)),
         target_mean=np.linspace(1.0, 3.0, 11),
         target_std=np.linspace(0.5, 1.5, 11),
         hyper=h,
@@ -723,7 +724,7 @@ def test_regressor_objective_gradients_match_fd():
     t = generate_synthetic(
         SynthConfig(n_queries=4, n_models=3, embed_dim=6, tie_fraction=0.5, noise_seed=3)
     )
-    layers = list(_init_two_layer(MlpHyper(d_q=6, n_models=3, hidden=8, seed=9)))
+    layers = _init_two_layer(MlpHyper(d_q=6, n_models=3, hidden=8, seed=9))
 
     def fn(plist):
         _assign_layers(layers, plist)
@@ -952,10 +953,11 @@ def test_route_dominant_score():
         t, (np.array([0]), np.array([], dtype=int)),
         MlpHyper(d_q=3, n_models=2, hidden=4, epochs=1, batch_size=8),
     )
-    mlp.hidden_layer.weight = np.zeros_like(mlp.hidden_layer.weight)
-    mlp.hidden_layer.bias = np.zeros_like(mlp.hidden_layer.bias)
-    mlp.output_layer.weight = np.zeros_like(mlp.output_layer.weight)
-    mlp.output_layer.bias = np.array([0.1, 0.9])
+    hidden, output = mlp.layers
+    hidden.weight = np.zeros_like(hidden.weight)
+    hidden.bias = np.zeros_like(hidden.bias)
+    output.weight = np.zeros_like(output.weight)
+    output.bias = np.array([0.1, 0.9])
     d = route(mlp, t, 0, budget=5.0, cost_source="oracle")
     assert d.chosen == 1 and not d.feasible_clamped
 
@@ -1291,9 +1293,9 @@ def test_load_router_refuses_two_layer_arrays_that_do_not_fit_hyper(tmp_path, ki
     layers = _init_two_layer(hyper)
     path = tmp_path / f"{kind}.ckpt"
     if kind == "mlp":
-        save_router(path, MlpRouterParams(*layers, hyper))
+        save_router(path, MlpRouterParams(layers, hyper))
     else:
-        save_cost_predictor(path, CostPredictorParams(*layers, np.zeros(3), np.ones(3), hyper))
+        save_cost_predictor(path, CostPredictorParams(layers, np.zeros(3), np.ones(3), hyper))
     assert load_router(path).tag == kind
     header, arrays = load_checkpoint(path)
     save_checkpoint(path, header, edit(arrays))
@@ -1358,6 +1360,79 @@ def test_load_router_refuses_joint_feature_that_contradicts_router_type(
         f"{path}: checkpoint field 'joint_feature' is {value!r}, but router_type {kind!r} "
         f"has joint_feature {kind != 'equirouter_nojoint'}"
     )
+
+
+def checkpointed(kind: str):
+    """An untrained router or cost predictor of a checkpointed kind."""
+    if kind in EQUI_TAGS:
+        return init_equirouter(tiny_hyper(8, 3), kind)
+    if kind == "knn":
+        return KnnRouterParams(k=3, train_indices=(0, 2, 4), split_seed=42)
+    h = MlpHyper(d_q=8, n_models=3, hidden=8)
+    if kind == "mlp":
+        return MlpRouterParams(_init_two_layer(h), h)
+    return CostPredictorParams(_init_two_layer(h), np.linspace(1.0, 2.0, 3),
+                               np.linspace(0.5, 1.5, 3), h)
+
+
+HYPER, NOT_FIT = "checkpoint field 'hyper': ", "checkpoint arrays do not fit its field 'hyper'"
+
+
+@pytest.mark.parametrize(
+    "kind, edit, error",
+    [
+        pytest.param("equirouter", {"d_q": 8.0}, HYPER + "d_q is not an integer >= 1: 8.0",
+                     id="equirouter-d_q-float"),
+        pytest.param("equirouter_nojoint", {"latent_dim": 8.0},
+                     HYPER + "latent_dim is not an integer >= 1: 8.0",
+                     id="nojoint-latent_dim-float"),
+        pytest.param("mlp", {"hidden": 8.0}, HYPER + "hidden is not an integer >= 1: 8.0",
+                     id="mlp-hidden-float"),
+        pytest.param("cost", {"n_models": True}, HYPER + "n_models is not an integer >= 1: True",
+                     id="cost-n_models-bool"),
+        pytest.param("cost", {"hidden": 0}, HYPER + "hidden is not an integer >= 1: 0",
+                     id="cost-hidden-zero"),
+        pytest.param("mse", {"seed": 0.5}, HYPER + "seed is not an integer: 0.5",
+                     id="mse-seed-float"),
+        # a size no array of the file has: refused before an init would
+        # allocate about 10**9 rows
+        pytest.param("equirouter", {"d_q": 10**9}, NOT_FIT, id="equirouter-d_q-huge"),
+        pytest.param("mse", {"d_m": 10**9}, NOT_FIT, id="mse-d_m-huge"),
+        pytest.param("cost", {"hidden": 10**9}, NOT_FIT, id="cost-hidden-huge"),
+    ],
+)
+def test_load_router_checks_hyper_before_building_the_network(tmp_path, kind, edit, error):
+    # a float size once failed inside numpy (exit 2, no field named), or,
+    # compared as a shape, loaded: 8.0 == 8
+    path = tmp_path / f"{kind}.ckpt"
+    save_router(path, checkpointed(kind))
+    header, arrays = load_checkpoint(path)
+    save_checkpoint(path, {**header, "hyper": {**header["hyper"], **edit}}, arrays)
+    with pytest.raises(ValueError) as info:
+        load_router(path)
+    assert str(info.value) == f"{path}: {error}"
+
+
+@pytest.mark.parametrize("kind", [*EQUI_TAGS, "mlp", "knn", "cost"])
+def test_checkpoint_save_load_save_is_byte_stable(tmp_path, kind):
+    # one writer and one reader for every kind: what is read writes back as it was
+    save = save_cost_predictor if kind == "cost" else save_router
+    a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save(a, checkpointed(kind))
+    loaded = load_router(a)
+    assert loaded.tag == kind
+    save(b, loaded)
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_oracle_has_no_checkpoint(tmp_path):
+    # the CLI neither writes nor reads one; the oracle needs no parameters
+    path = tmp_path / "oracle.ckpt"
+    with pytest.raises(TypeError, match="^cannot checkpoint router type"):
+        save_router(path, OracleRouter())
+    save_checkpoint(path, {"router_type": "oracle"}, [])
+    with pytest.raises(ValueError, match="^unknown router_type 'oracle' in checkpoint$"):
+        load_router(path)
 
 
 def test_all_router_kinds_round_trip(tmp_path, small_synth):
