@@ -6,7 +6,8 @@ before touching the filesystem, and all outputs are byte-deterministic for a
 fixed config, so reruns can be compared with `cmp`.
 
 Config keys (defaults in parentheses; parsers in CONFIG_KEYS, SYNTH_KEYS and
-THRESHOLD_KEYS):
+THRESHOLD_KEYS). Each CONFIG_KEYS entry also holds its key's accepted range,
+and the train.* defaults are those of router.EquiHyper and router.MlpHyper:
 
     table                       path to an existing table directory
                                 (exclusive with the synth.* keys)
@@ -95,26 +96,17 @@ class ExperimentConfig:
     cost_source: str = "predicted"
     grid_points: int = 100
     out: str = "out"
-    latent_dim: int = 128
-    model_dim: int = 64
-    hidden: int = 64
-    lr: float = 1e-3
-    epochs: int = 30
-    batch_size: int = 2048
-    weight_decay: float = 1e-4
-    train_seed: int = 0
     knn_k: int = 50
     sigmas: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.4)
     margin_thresholds: tuple[float, ...] = (0.0, 1e-3, 1e-2, 5e-2)
+    train: dict = field(default_factory=dict)  # EquiHyper/MlpHyper field -> set value
     thresholds: dict = field(default_factory=dict)  # threshold key -> limit
 
     def validate(self) -> None:
+        """Checks that span keys or are not ranges; build_config checks each
+        key's range as it parses it."""
         if self.router not in ROUTER_KINDS:
             raise ConfigError(f"unknown router {self.router!r}; pick from {ROUTER_KINDS}")
-        if self.cost_source not in ("predicted", "oracle"):
-            raise ConfigError(f"cost_source must be predicted or oracle, got {self.cost_source!r}")
-        if self.grid_points < 2:
-            raise ConfigError("grid_points must be >= 2")
         if self.table is not None and self.synth is not None:
             raise ConfigError("config must name a table path or synth settings, not both")
         if self.table is None and self.synth is None:
@@ -126,28 +118,8 @@ class ExperimentConfig:
                 validate_synth_config(self.synth)
             except ValueError as exc:  # its messages start with the field name
                 raise ConfigError(f"synth.{exc}") from exc
-        if not all(np.isfinite(r) and r > 0 for r in self.split_ratio):
-            raise ConfigError(f"split.ratio must be finite and > 0, got {self.split_ratio}")
-        for key in ("train.epochs", "train.batch_size", "train.latent_dim",
-                    "train.model_dim", "train.hidden", "knn.k"):
-            value = getattr(self, CONFIG_KEYS[key][0])
-            if value < 1:
-                raise ConfigError(f"{key} must be >= 1, got {value}")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"train.lr must be finite and > 0, got {self.lr}")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ConfigError(f"train.weight_decay must be finite and >= 0, got {self.weight_decay}")
-        for key in ("diagnose.sigmas", "diagnose.margin_thresholds"):
-            values = getattr(self, CONFIG_KEYS[key][0])
-            if not (values and all(np.isfinite(v) and v >= 0 for v in values)):
-                raise ConfigError(
-                    f"{key} must be one or more finite values >= 0, got {values}"
-                )
         if sorted(self.margin_thresholds) != list(self.margin_thresholds):
             raise ConfigError("diagnose.margin_thresholds must be sorted ascending")
-        for key, limit in self.thresholds.items():
-            if not np.isfinite(limit):  # a NaN gate could never fire
-                raise ConfigError(f"{key} must be finite, got {limit}")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -174,26 +146,35 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p != "")
 
 
-# config key -> (ExperimentConfig field, value parser)
+# accepted ranges: (text for the message, test of a parsed value)
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+_FINITE_LIST = ("one or more finite values >= 0",
+                lambda vs: vs and all(np.isfinite(v) and v >= 0 for v in vs))
+_FINITE = ("finite", np.isfinite)  # a NaN threshold.* gate could never fire
+# config key -> (ExperimentConfig field, or for train.* the EquiHyper/MlpHyper
+# field; value parser; accepted range or None)
 CONFIG_KEYS = {
-    "table": ("table", str),
-    "split.ratio": ("split_ratio", _parse_ratio),
-    "split.seed": ("split_seed", int),
-    "router": ("router", str),
-    "cost_source": ("cost_source", str),
-    "grid_points": ("grid_points", int),
-    "out": ("out", str),
-    "train.latent_dim": ("latent_dim", int),
-    "train.model_dim": ("model_dim", int),
-    "train.hidden": ("hidden", int),
-    "train.lr": ("lr", float),
-    "train.epochs": ("epochs", int),
-    "train.batch_size": ("batch_size", int),
-    "train.weight_decay": ("weight_decay", float),
-    "train.seed": ("train_seed", int),
-    "knn.k": ("knn_k", int),
-    "diagnose.sigmas": ("sigmas", _parse_floats),
-    "diagnose.margin_thresholds": ("margin_thresholds", _parse_floats),
+    "table": ("table", str, None),
+    "split.ratio": ("split_ratio", _parse_ratio,
+                    ("finite and > 0", lambda v: all(np.isfinite(r) and r > 0 for r in v))),
+    "split.seed": ("split_seed", int, None),
+    "router": ("router", str, None),
+    "cost_source": ("cost_source", str,
+                    ("predicted or oracle", lambda v: v in ("predicted", "oracle"))),
+    "grid_points": ("grid_points", int, (">= 2", lambda v: v >= 2)),
+    "out": ("out", str, None),
+    "train.latent_dim": ("latent_dim", int, _AT_LEAST_1),
+    "train.model_dim": ("d_m", int, _AT_LEAST_1),
+    "train.hidden": ("hidden", int, _AT_LEAST_1),
+    "train.lr": ("learning_rate", float, ("finite and > 0", lambda v: np.isfinite(v) and v > 0)),
+    "train.epochs": ("epochs", int, _AT_LEAST_1),
+    "train.batch_size": ("batch_size", int, _AT_LEAST_1),
+    "train.weight_decay": ("weight_decay", float,
+                           ("finite and >= 0", lambda v: np.isfinite(v) and v >= 0)),
+    "train.seed": ("seed", int, None),
+    "knn.k": ("knn_k", int, _AT_LEAST_1),
+    "diagnose.sigmas": ("sigmas", _parse_floats, _FINITE_LIST),
+    "diagnose.margin_thresholds": ("margin_thresholds", _parse_floats, _FINITE_LIST),
 }
 # synth.* key -> (SynthConfig field, parser of the field's type)
 SYNTH_KEYS = {
@@ -209,21 +190,25 @@ THRESHOLD_KEYS = {
 
 
 def build_config(values: dict[str, str]) -> ExperimentConfig:
-    settings: dict = {"thresholds": {}}
+    settings: dict = {"train": {}, "thresholds": {}}
     synth: dict = {}
     for key, text in values.items():
         if key in CONFIG_KEYS:
-            (name, parse), target = CONFIG_KEYS[key], settings
-        elif key in SYNTH_KEYS:
-            (name, parse), target = SYNTH_KEYS[key], synth
+            name, parse, accepted = CONFIG_KEYS[key]
+            target = settings["train"] if key.startswith("train.") else settings
+        elif key in SYNTH_KEYS:  # dataset.validate_synth_config checks these
+            (name, parse), accepted, target = SYNTH_KEYS[key], None, synth
         elif key in THRESHOLD_KEYS:
-            name, parse, target = key, float, settings["thresholds"]
+            name, parse, accepted, target = key, float, _FINITE, settings["thresholds"]
         else:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            target[name] = parse(text)
+            value = parse(text)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
+        if accepted is not None and not accepted[1](value):
+            raise ConfigError(f"{key} must be {accepted[0]}, got {value!r}")
+        target[name] = value
     return ExperimentConfig(**settings, synth=SynthConfig(**synth) if synth else None)
 
 
@@ -305,7 +290,8 @@ def _load_checked(path: Path | str, tag: str, table: RoutingTable, split: SplitI
     try:
         model = rt.load_router(path)
     except (ValueError, IsADirectoryError) as exc:
-        raise ConfigError(f"checkpoint {path}: {exc}") from exc
+        reason = str(exc).removeprefix(f"{path}: ")  # most loader messages name the path
+        raise ConfigError(f"checkpoint {path}: {reason}") from exc
     if model.tag != tag:
         raise ConfigError(f"checkpoint {path} holds router_type {model.tag!r}, expected {tag!r}")
     hyper = getattr(model, "hyper", None)
@@ -347,17 +333,12 @@ def _load_checkpoints(
     return router, _load_checked(cp_path, "cost", table, split)
 
 
-def _mlp_hyper(cfg: ExperimentConfig, table: RoutingTable) -> rt.MlpHyper:
-    """Sizes and schedule of the two-layer regressors (MLP baseline, cost predictor)."""
-    return rt.MlpHyper(
-        d_q=table.embed_dim,
-        n_models=table.n_models,
-        hidden=cfg.hidden,
-        learning_rate=cfg.lr,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        seed=cfg.train_seed,
-    )
+def _hyper(cls, cfg: ExperimentConfig, table: RoutingTable):
+    """`cls` (rt.EquiHyper or rt.MlpHyper) sized for the table, with the
+    train.* values the config sets for its fields; the rest keep its defaults."""
+    names = {f.name for f in fields(cls)}
+    return cls(d_q=table.embed_dim, n_models=table.n_models,
+               **{name: value for name, value in cfg.train.items() if name in names})
 
 
 def _train_router(cfg: ExperimentConfig, table: RoutingTable, split: SplitIndices):
@@ -367,18 +348,8 @@ def _train_router(cfg: ExperimentConfig, table: RoutingTable, split: SplitIndice
     if cfg.router == "knn":
         return rt.train_knn_router(table, split, k=cfg.knn_k), None
     if cfg.router == "mlp":
-        return rt.train_mlp_router(table, split, _mlp_hyper(cfg, table))
-    hyper = rt.EquiHyper(
-        d_q=table.embed_dim,
-        n_models=table.n_models,
-        d_m=cfg.model_dim,
-        latent_dim=cfg.latent_dim,
-        weight_decay=cfg.weight_decay,
-        learning_rate=cfg.lr,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        seed=cfg.train_seed,
-    )
+        return rt.train_mlp_router(table, split, _hyper(rt.MlpHyper, cfg, table))
+    hyper = _hyper(rt.EquiHyper, cfg, table)
     if cfg.router == "mse":
         return rt.train_mse_ablation(table, split, hyper)
     return rt.train_equirouter(table, split, hyper, joint_feature=cfg.router == "equirouter")
@@ -400,7 +371,8 @@ def _train_and_save(cfg: ExperimentConfig, table: RoutingTable, split: SplitIndi
         _write_train_log(log, out / "train_log.csv")
     cost_predictor = None
     if cfg.cost_source == "predicted":
-        cost_predictor, cost_log = rt.train_cost_predictor(table, split, _mlp_hyper(cfg, table))
+        cost_predictor, cost_log = rt.train_cost_predictor(
+            table, split, _hyper(rt.MlpHyper, cfg, table))
         rt.save_cost_predictor(out / "cost.ckpt", cost_predictor)
         _write_train_log(cost_log, out / "cost_train_log.csv")
     return router, cost_predictor
@@ -491,9 +463,8 @@ def cmd_diagnose(cfg: ExperimentConfig) -> int:
     stats = margin_stats(table, full_budget, list(cfg.margin_thresholds))
     write_margin_cdf_csv(stats, out / "margins.csv")
 
-    rows = ev.noise_sensitivity(
-        table, cfg.sigmas, full_budget, cfg.train_seed, indices=test_idx
-    )
+    seed = _hyper(rt.EquiHyper, cfg, table).seed
+    rows = ev.noise_sensitivity(table, cfg.sigmas, full_budget, seed, indices=test_idx)
     ev.write_noise_csv(rows, out / "noise.csv")
 
     grid = ev.budget_grid(table, test_idx, cfg.grid_points)
@@ -543,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--router", choices=ROUTER_KINDS)
         p.add_argument("--cost-source", dest="cost_source", choices=("predicted", "oracle"))
         p.add_argument("--grid-points", dest="grid_points", type=int)
-        p.add_argument("--seed", dest="train.seed", type=int, help="training seed override")
+        p.add_argument("--seed", dest="train.seed", type=int,
+                       help="train.seed override; also seeds diagnose's noise curve")
         p.add_argument("--out", help="output directory")
         if name == "sweep":
             p.add_argument("--checkpoint", help="router checkpoint to evaluate")

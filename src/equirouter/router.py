@@ -1109,6 +1109,8 @@ def load_router(path: Path | str):
         if not (isinstance(train, list) and set(map(type, train)) <= {int}):
             raise ValueError(f"{path}: checkpoint field 'train_indices' is not a list of "
                              "integers")
+        if not train:  # no neighbours: every score would be NaN
+            raise ValueError(f"{path}: checkpoint field 'train_indices' is empty")
         if type(seed) is not int:
             raise ValueError(f"{path}: checkpoint field 'split_seed' is not an integer: {seed!r}")
         return KnnRouterParams(k=k, train_indices=tuple(train), split_seed=seed)

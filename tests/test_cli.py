@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ from equirouter.dataset import (
     save_table,
 )
 from equirouter.neuralnet import load_checkpoint, save_checkpoint
-from equirouter.router import EquiHyper, init_equirouter, save_router, train_knn_router
+from equirouter.router import EquiHyper, MlpHyper, init_equirouter, save_router, train_knn_router
 
 from conftest import constant_policy_router, make_table
 
@@ -236,7 +237,7 @@ def test_flags_override_their_config_keys(tmp_path):
     flags = ["--router", "knn", "--cost-source", "oracle", "--grid-points", "7",
              "--seed", "5", "--out", "flag-out"]
     cfg = load_config(build_parser().parse_args(["sweep", "--config", cfg_path, *flags]))
-    assert (cfg.router, cfg.cost_source, cfg.grid_points, cfg.train_seed, cfg.out) == (
+    assert (cfg.router, cfg.cost_source, cfg.grid_points, cfg.train["seed"], cfg.out) == (
         "knn", "oracle", 7, 5, "flag-out"
     )
     # the oracle reads true costs whatever cost_source says
@@ -248,6 +249,14 @@ def test_module_docstring_lists_exactly_the_config_keys():
     section = cli_module.__doc__.split("Config keys")[1].split("Exit codes")[0]
     documented = re.findall(r"^    (\S+)", section, re.MULTILINE)
     assert sorted(documented) == sorted({*CONFIG_KEYS, *SYNTH_KEYS, *THRESHOLD_KEYS})
+    # a documented train.* default is that of every hyperparameter field it sets
+    shown = dict(re.findall(r"^    (train\.\S+) +\(([^)]+)\)", section, re.MULTILINE))
+    assert sorted(shown) == sorted(key for key in CONFIG_KEYS if key.startswith("train."))
+    for key, text in shown.items():
+        name, parse, _ = CONFIG_KEYS[key]
+        defaults = [f.default for cls in (EquiHyper, MlpHyper) for f in fields(cls)
+                    if f.name == name]
+        assert defaults and all(parse(text) == d for d in defaults), (key, text, defaults)
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +746,7 @@ def test_malformed_checkpoint_exits_1_before_any_write(tmp_path, capsys, edit, e
         pytest.param({"k": 0}, "field 'k' is not an integer >= 1: 0", id="k-zero"),
         pytest.param({"split_seed": "x"}, "field 'split_seed' is not an integer: 'x'",
                      id="seed-str"),
+        pytest.param({"train_indices": []}, "field 'train_indices' is empty", id="train-empty"),
     ],
 )
 def test_malformed_knn_checkpoint_exits_1_before_any_write(tmp_path, capsys, edit, error):
@@ -773,8 +783,7 @@ def test_sweep_refuses_mlp_checkpoint_whose_arrays_do_not_fit_its_hyper(tmp_path
     cfg = write_config(tmp_path, "router = mlp\ncost_source = oracle\n", table=tdir, out=out)
     assert main(["sweep", "--config", cfg, "--checkpoint", str(ckpt)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == (f"error: checkpoint {ckpt}: {ckpt}: checkpoint arrays do not fit its "
-                   "field 'hyper'\n")
+    assert err == f"error: checkpoint {ckpt}: checkpoint arrays do not fit its field 'hyper'\n"
     assert not out.exists()
 
 
@@ -795,7 +804,7 @@ def test_sweep_refuses_checkpoint_whose_hyper_size_is_a_float(tmp_path, capsys):
                        out=out)
     assert main(["sweep", "--config", cfg, "--checkpoint", str(ckpt)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == (f"error: checkpoint {ckpt}: {ckpt}: checkpoint field 'hyper': d_q is not "
+    assert err == (f"error: checkpoint {ckpt}: checkpoint field 'hyper': d_q is not "
                    "an integer >= 1: 8.0\n")
     assert not out.exists()
 
