@@ -51,7 +51,6 @@ from .neuralnet import (
     save_checkpoint,
 )
 from .oracle import (
-    FeasibleSet,
     MarginStats,
     feasible_set,
     margin_stats,

@@ -222,7 +222,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     # CLI flags override config keys: each flag's dest is its key
     for key in CONFIG_KEYS:
         if getattr(args, key, None) is not None:
-            values[key] = str(getattr(args, key))
+            values[key] = getattr(args, key)
     cfg = build_config(values)
     cfg.validate()
     if cfg.router == "oracle":  # it routes on true costs: no cost predictor
@@ -511,10 +511,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--table", help="table directory (overrides config)")
-        p.add_argument("--router", choices=ROUTER_KINDS)
-        p.add_argument("--cost-source", dest="cost_source", choices=("predicted", "oracle"))
-        p.add_argument("--grid-points", dest="grid_points", type=int)
-        p.add_argument("--seed", dest="train.seed", type=int,
+        # values stay text: build_config parses and checks them as config values
+        p.add_argument("--router", help=f"one of {', '.join(ROUTER_KINDS)}")
+        p.add_argument("--cost-source", dest="cost_source", help="predicted or oracle")
+        p.add_argument("--grid-points", dest="grid_points")
+        p.add_argument("--seed", dest="train.seed",
                        help="train.seed override; also seeds diagnose's noise curve")
         p.add_argument("--out", help="output directory")
         if name == "sweep":

@@ -66,7 +66,7 @@ class SweepCurve:
 
 
 def budget_grid(
-    table: RoutingTable, indices: Sequence[int], n_points: int = 100
+    table: RoutingTable, indices: Sequence[int], n_points: int
 ) -> np.ndarray:
     """Evenly spaced budgets from the cheapest per-query minimum cost to the
     single largest cost on the split, endpoints included."""
@@ -213,8 +213,7 @@ def qnc(curve, table: RoutingTable, indices: Sequence[int]) -> tuple[float | Non
 
 @dataclass(frozen=True, eq=False)
 class CollapseReport:
-    """Per-query collapse columns in split order, their mean and the
-    selections' call shares."""
+    """Per-query collapse columns in split order and their mean."""
 
     n: np.ndarray  # query index in the table
     m_n: np.ndarray  # selected model
@@ -224,7 +223,6 @@ class CollapseReport:
     k_n: np.ndarray  # strictly cheaper models matching or beating the selection
     s_n: np.ndarray  # per-query collapse score
     rci: float
-    call_rates: tuple[float, ...]
 
 
 def rci(
@@ -258,12 +256,10 @@ def rci(
     s_n = np.where(
         a_sel < a_star, 1.0, np.where(x_n > 0, k_n / np.maximum(x_n, 1), 0.0)
     )
-    rates = np.bincount(selections, minlength=K) / max(selections.size, 1)
     return CollapseReport(
         n=indices.copy(), m_n=selections.copy(), a_sel=a_sel, a_star=a_star,
         x_n=x_n, k_n=k_n, s_n=s_n,
         rci=float(s_n.mean()) if s_n.size else 0.0,
-        call_rates=tuple(float(r) for r in rates),
     )
 
 
@@ -323,7 +319,7 @@ def metrics_summary(
 def training_set_eval(
     train_fn: Callable[[RoutingTable, np.ndarray, np.ndarray], Router],
     table: RoutingTable,
-    n_points: int = 100,
+    n_points: int,
 ) -> tuple[MetricsSummary, SweepCurve]:
     """Train on the full table and evaluate on the same queries.
 

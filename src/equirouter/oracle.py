@@ -40,29 +40,17 @@ from ._floatfmt import write_csv
 from .dataset import RoutingTable
 
 
-@dataclass(frozen=True, eq=False)
-class FeasibleSet:
-    """Models whose cost stays within the budget, one row per query.
-
-    A row where no model is affordable holds only its cheapest model and is
-    `clamped`: deployment must answer every query.
-    """
-
-    budget: float
-    members: np.ndarray  # (N, K) bool: cost <= budget, or the clamped argmin
-    clamped: np.ndarray  # (N,) bool
-
-
-def feasible_set(table: RoutingTable, budget: float) -> FeasibleSet:
-    """Every query's feasible set at one budget. A NaN budget affords
+def feasible_set(table: RoutingTable, budget: float) -> np.ndarray:
+    """Every query's feasible set at one budget, an (N, K) mask: cost <=
+    budget, or only the cheapest model in a row where nothing is affordable
+    (clamped: deployment must answer every query). A NaN budget affords
     nothing, so every row clamps."""
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     members = table.cost <= budget
-    clamped = ~members.any(axis=1)
-    rows = np.flatnonzero(clamped)
+    rows = np.flatnonzero(~members.any(axis=1))
     members[rows, np.argmin(table.cost[rows], axis=1)] = True
-    return FeasibleSet(budget=float(budget), members=members, clamped=clamped)
+    return members
 
 
 _NAN_SCORES = "router scores contain NaN; the routing rule cannot rank them"
@@ -202,7 +190,7 @@ def margin_stats(
 ) -> MarginStats:
     if sorted(thresholds) != list(thresholds):
         raise ValueError("thresholds must be sorted ascending")
-    members = feasible_set(table, budget).members
+    members = feasible_set(table, budget)
     defined = np.count_nonzero(members, axis=1) >= 2
     if not defined.any():
         raise ValueError("no query has >= 2 feasible models at this budget")

@@ -89,6 +89,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -725,7 +726,7 @@ class CostPredictorParams:
     target_mean: np.ndarray  # (K,)
     target_std: np.ndarray  # (K,)
     hyper: MlpHyper
-    tag: str = "cost"
+    tag: ClassVar[str] = "cost"
 
 
 @dataclass
@@ -734,7 +735,7 @@ class MlpRouterParams:
 
     layers: list[DenseLayer]  # d_q -> H, relu; H -> K, linear
     hyper: MlpHyper
-    tag: str = "mlp"
+    tag: ClassVar[str] = "mlp"
 
 
 def _init_two_layer(hyper: MlpHyper) -> list[DenseLayer]:
@@ -837,14 +838,14 @@ class KnnRouterParams:
     k: int
     train_indices: tuple[int, ...]
     split_seed: int
-    tag: str = "knn"
+    tag: ClassVar[str] = "knn"
     # (table, reference embeddings, their squared norms, reference perf rows,
     # first-occurrence columns or None), built by `_knn_reference` for the
     # last table scored
     _reference: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
-def train_knn_router(table: RoutingTable, split, k: int = 50) -> KnnRouterParams:
+def train_knn_router(table: RoutingTable, split, k: int) -> KnnRouterParams:
     if k < 1:
         raise ValueError("k must be >= 1")
     train_idx, _ = _train_valid_arrays(split)
@@ -914,7 +915,7 @@ def knn_scores(knn: KnnRouterParams, table: RoutingTable, Q: np.ndarray) -> np.n
 class OracleRouter:
     """Sentinel router scoring each model by its true performance."""
 
-    tag: str = "oracle"
+    tag: ClassVar[str] = "oracle"
 
 
 Router = EquiRouterParams | MlpRouterParams | KnnRouterParams | OracleRouter
@@ -1060,8 +1061,6 @@ def save_router(path: Path | str, router: Router | CostPredictorParams) -> None:
     elif isinstance(router, (EquiRouterParams, MlpRouterParams, CostPredictorParams)):
         header = {"router_type": router.tag, "hyper": asdict(router.hyper)}
         arrays = _arrays(router)
-        if isinstance(router, EquiRouterParams):
-            header["joint_feature"] = router.joint_feature
     else:
         raise TypeError(f"cannot checkpoint router type {type(router)!r}")
     save_checkpoint(path, header, arrays)
@@ -1117,10 +1116,6 @@ def load_router(path: Path | str):
     # a trained network: its init builds the template the file's arrays must fit
     if kind in EQUI_TAGS:
         net = init_equirouter(hyper(EquiHyper), kind)
-        joint = field("joint_feature")
-        if joint is not net.joint_feature:
-            raise ValueError(f"{path}: checkpoint field 'joint_feature' is {joint!r}, but "
-                             f"router_type {kind!r} has joint_feature {net.joint_feature}")
     elif kind == "mlp":
         h = hyper(MlpHyper)
         net = MlpRouterParams(_init_two_layer(h), h)

@@ -26,6 +26,7 @@ from equirouter.cli import (
     EXIT_RUNTIME,
     EXIT_THRESHOLD,
     ROUTER_KINDS,
+    ExperimentConfig,
     SYNTH_KEYS,
     THRESHOLD_KEYS,
     build_config,
@@ -111,13 +112,21 @@ def test_config_requires_table_or_synth():
         cfg.validate()
 
 
-def test_unknown_router_rejected(tmp_path):
-    # argparse rejects a bad flag choice with a usage failure
-    with pytest.raises(SystemExit):
-        main(["sweep", "--config", write_config(tmp_path, SYNTH_CONFIG), "--router", "oracle2"])
-    # a malformed config value goes through our validator instead
-    cfg_path = write_config(tmp_path, SYNTH_CONFIG.replace("router = equirouter", "router = bogus"))
-    assert main(["sweep", "--config", cfg_path]) == EXIT_CONFIG
+def test_unknown_router_rejected(tmp_path, capsys):
+    # a bad flag value goes through its config key's parser and range: the
+    # same exit 1 and message as the value in a config, and nothing written
+    out = tmp_path / "out"
+    for flag, key, value in (("--router", "router", "bogus"),
+                             ("--cost-source", "cost_source", "nope"),
+                             ("--grid-points", "grid_points", "abc"),
+                             ("--seed", "train.seed", "x")):
+        cfg_path = write_config(tmp_path, SYNTH_CONFIG, out=out)
+        assert main(["diagnose", "--config", cfg_path, flag, value]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        cfg_path = write_config(tmp_path, SYNTH_CONFIG, out=out, **{key: value})
+        assert main(["diagnose", "--config", cfg_path]) == EXIT_CONFIG
+        assert err.startswith("error: ") and err == capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_validation_happens_before_any_write(tmp_path):
@@ -249,13 +258,15 @@ def test_module_docstring_lists_exactly_the_config_keys():
     section = cli_module.__doc__.split("Config keys")[1].split("Exit codes")[0]
     documented = re.findall(r"^    (\S+)", section, re.MULTILINE)
     assert sorted(documented) == sorted({*CONFIG_KEYS, *SYNTH_KEYS, *THRESHOLD_KEYS})
-    # a documented train.* default is that of every hyperparameter field it sets
-    shown = dict(re.findall(r"^    (train\.\S+) +\(([^)]+)\)", section, re.MULTILINE))
-    assert sorted(shown) == sorted(key for key in CONFIG_KEYS if key.startswith("train."))
+    # every key but table shows a default: that of its ExperimentConfig field
+    # or, for a train.* key, that of every hyperparameter field it sets
+    shown = dict(re.findall(r"^    (\S+) +\(([^)]+)\)", section, re.MULTILINE))
+    assert sorted(shown) == sorted(key for key in CONFIG_KEYS if key != "table")
+    config_defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     for key, text in shown.items():
         name, parse, _ = CONFIG_KEYS[key]
-        defaults = [f.default for cls in (EquiHyper, MlpHyper) for f in fields(cls)
-                    if f.name == name]
+        defaults = ([f.default for cls in (EquiHyper, MlpHyper) for f in fields(cls)
+                     if f.name == name] if key.startswith("train.") else [config_defaults[name]])
         assert defaults and all(parse(text) == d for d in defaults), (key, text, defaults)
 
 
@@ -811,7 +822,8 @@ def test_sweep_refuses_checkpoint_whose_hyper_size_is_a_float(tmp_path, capsys):
 
 def test_sweep_refuses_checkpoint_whose_joint_feature_contradicts_its_kind(tmp_path, capsys):
     # a no-joint network relabelled as the full EquiRouter: evaluating it
-    # under --router equirouter would report the wrong ablation
+    # under --router equirouter would report the wrong ablation. Its head's
+    # input is 2D wide, not 4D, so its arrays do not fit the relabelled kind
     n = 40
     table = make_table(perf=[[0.2, 0.9, 0.5]] * n, cost=[[1.0, 2.0, 3.0]] * n)
     tdir = tmp_path / "table"
@@ -826,7 +838,7 @@ def test_sweep_refuses_checkpoint_whose_joint_feature_contradicts_its_kind(tmp_p
                        out=out)
     assert main(["sweep", "--config", cfg, "--checkpoint", str(ckpt)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"error: checkpoint {ckpt}: ") and "field 'joint_feature'" in err, err
+    assert err == f"error: checkpoint {ckpt}: checkpoint arrays do not fit its field 'hyper'\n"
     assert not out.exists()
 
 

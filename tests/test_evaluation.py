@@ -393,13 +393,6 @@ def test_rci_always_most_expensive_on_full_ties():
     assert rci(t, picks, idx).rci == 1.0
 
 
-def test_rci_call_rates_sum_to_one(small_synth):
-    idx = np.arange(small_synth.n_queries)
-    picks, _ = select_under_budget_batch(small_synth.perf[idx], small_synth.cost[idx], 1e9)
-    report = rci(small_synth, picks, idx)
-    assert sum(report.call_rates) == pytest.approx(1.0)
-
-
 def test_rci_rejects_out_of_range_selection():
     t = make_table(perf=[[1.0, 0.0]], cost=[[1.0, 2.0]])
     with pytest.raises(ValueError, match="out of range"):

@@ -31,20 +31,20 @@ def one_query_table(a, c):
 
 def test_feasible_set_basic():
     t = one_query_table([0, 0, 0], [1, 3, 2])
-    fs = feasible_set(t, 2.5)
-    assert fs.members.shape == (2, 3) and fs.clamped.shape == (2,)
-    assert np.flatnonzero(fs.members[0]).tolist() == [0, 2] and not fs.clamped[0]
+    members = feasible_set(t, 2.5)
+    assert members.shape == (2, 3) and members.dtype == bool
+    assert np.flatnonzero(members[0]).tolist() == [0, 2] and (t.cost[0] <= 2.5).any()
 
 
 def test_feasible_set_all_affordable():
     t = one_query_table([0, 0, 0], [1, 3, 2])
-    assert np.flatnonzero(feasible_set(t, 10).members[0]).tolist() == [0, 1, 2]
+    assert np.flatnonzero(feasible_set(t, 10)[0]).tolist() == [0, 1, 2]
 
 
 def test_feasible_set_clamps_to_cheapest():
     t = one_query_table([0, 0, 0], [1, 3, 2])
-    fs = feasible_set(t, 0.5)
-    assert np.flatnonzero(fs.members[0]).tolist() == [0] and fs.clamped[0]
+    members = feasible_set(t, 0.5)
+    assert np.flatnonzero(members[0]).tolist() == [0] and not (t.cost[0] <= 0.5).any()
 
 
 def test_feasible_set_rejects_nonpositive_budget():
@@ -55,9 +55,8 @@ def test_feasible_set_rejects_nonpositive_budget():
 
 def test_feasible_set_nan_budget_clamps_every_row():
     t = make_table(perf=[[0, 0, 0], [0, 0, 0]], cost=[[1, 3, 2], [4, 2, 2]])
-    fs = feasible_set(t, math.nan)
-    assert fs.clamped.tolist() == [True, True]
-    assert fs.members.tolist() == [[True, False, False], [False, True, False]]
+    assert (~(t.cost <= math.nan).any(axis=1)).tolist() == [True, True]
+    assert feasible_set(t, math.nan).tolist() == [[True, False, False], [False, True, False]]
 
 
 @settings(max_examples=200, deadline=None)
@@ -75,13 +74,11 @@ def test_feasible_set_and_margins_match_spec(data, n, k):
                                        min_size=k, max_size=k), min_size=n, max_size=n))
     t = make_table(perf=perf, cost=cost)
     budget = data.draw(st.sampled_from(sorted({*t.cost.ravel().tolist(), 0.25, 2.5, 10.0})))
-    fs = feasible_set(t, budget)
-    assert fs.budget == budget
+    members = feasible_set(t, budget)
     for row in range(n):
         affordable = np.flatnonzero(t.cost[row] <= budget)
-        assert fs.clamped[row] == (affordable.size == 0)
         want = affordable if affordable.size else [np.argmin(t.cost[row])]
-        assert np.flatnonzero(fs.members[row]).tolist() == list(want)
+        assert np.flatnonzero(members[row]).tolist() == list(want)
     spec = [m for m in (margin(t, row, budget) for row in range(n)) if m is not None]
     if not spec:
         with pytest.raises(ValueError, match="feasible"):
@@ -244,7 +241,7 @@ def test_oracle_optimality_and_frugality(seed, budget):
     t = make_table(perf=a, cost=c)
     for n in range(4):
         pick = oracle_select(t, n, budget)
-        members = np.flatnonzero(feasible_set(t, budget).members[n])
+        members = np.flatnonzero(feasible_set(t, budget)[n])
         assert all(a[n, pick] >= a[n, j] for j in members)
         assert not any(
             a[n, j] == a[n, pick] and c[n, j] < c[n, pick] for j in members

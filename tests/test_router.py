@@ -1240,8 +1240,9 @@ def test_mlp_memorization_agrees_with_oracle():
     ids=lambda f: f.__name__,
 )
 def test_trainers_refuse_an_empty_training_split(small_synth, train):
+    k = (1,) if train is train_knn_router else ()  # its k has no default
     with pytest.raises(ValueError, match="^training split is empty$"):
-        train(small_synth, (np.array([], dtype=int), np.arange(5)))
+        train(small_synth, (np.array([], dtype=int), np.arange(5)), *k)
 
 
 def test_knn_checks_k_before_the_split():
@@ -1335,31 +1336,35 @@ def test_load_router_refuses_malformed_knn_header(tmp_path, edit, error):
 
 
 @pytest.mark.parametrize(
-    "tag, edit, value",
+    "tag, edit",
     [
-        pytest.param("equirouter_nojoint", {"router_type": "equirouter"}, False,
+        pytest.param("equirouter_nojoint", {"router_type": "equirouter"},
                      id="nojoint-as-equirouter"),
-        pytest.param("equirouter_nojoint", {"router_type": "mse"}, False, id="nojoint-as-mse"),
-        pytest.param("equirouter", {"joint_feature": False}, False, id="equirouter-false"),
-        pytest.param("mse", {"joint_feature": 1}, 1, id="mse-int"),
+        pytest.param("equirouter_nojoint", {"router_type": "mse"}, id="nojoint-as-mse"),
+        pytest.param("equirouter", {"router_type": "equirouter_nojoint"},
+                     id="equirouter-as-nojoint"),
+        pytest.param("equirouter", {"joint_feature": False}, id="equirouter-false"),
+        pytest.param("mse", {"joint_feature": 1}, id="mse-int"),
     ],
 )
-def test_load_router_refuses_joint_feature_that_contradicts_router_type(
-    tmp_path, tag, edit, value
-):
-    # the tag sets the head's input: a contradicting field would load one
-    # variant under another's name
+def test_load_router_refuses_joint_feature_that_contradicts_router_type(tmp_path, tag, edit):
+    # router_type alone is the variant. A relabel across the joint and
+    # no-joint heads changes the head's input width (4D vs 2D), so the arrays
+    # do not fit; an older checkpoint's joint_feature field is ignored
     path = tmp_path / "r.ckpt"
-    save_router(path, init_equirouter(tiny_hyper(5, 3), tag))
+    router = init_equirouter(tiny_hyper(5, 3), tag)
+    save_router(path, router)
     header, arrays = load_checkpoint(path)
+    assert "joint_feature" not in header
     save_checkpoint(path, {**header, **edit}, arrays)
-    kind = edit.get("router_type", tag)
-    with pytest.raises(ValueError) as info:
-        load_router(path)
-    assert str(info.value) == (
-        f"{path}: checkpoint field 'joint_feature' is {value!r}, but router_type {kind!r} "
-        f"has joint_feature {kind != 'equirouter_nojoint'}"
-    )
+    if "router_type" in edit:
+        with pytest.raises(ValueError) as info:
+            load_router(path)
+        assert str(info.value) == f"{path}: checkpoint arrays do not fit its field 'hyper'"
+        return
+    loaded = load_router(path)
+    assert loaded.tag == tag and loaded.joint_feature
+    assert all(np.array_equal(a, b) for a, b in zip(params_list(loaded), params_list(router)))
 
 
 def checkpointed(kind: str):
@@ -1464,3 +1469,11 @@ def test_all_router_kinds_round_trip(tmp_path, small_synth):
         predict_costs(loaded_cp, small_synth.embeddings[idx]),
         predict_costs(cp, small_synth.embeddings[idx]),
     )
+    # a constant kind tag is not an init field, so it cannot be set wrong
+    for make in (lambda: OracleRouter(tag="mlp"),
+                 lambda: KnnRouterParams(k=3, train_indices=(0,), split_seed=0, tag="mlp"),
+                 lambda: MlpRouterParams(cp.layers, mhyper, tag="cost"),
+                 lambda: CostPredictorParams(cp.layers, cp.target_mean, cp.target_std, mhyper,
+                                             tag="mlp")):
+        with pytest.raises(TypeError):
+            make()
