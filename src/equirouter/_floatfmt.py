@@ -38,8 +38,10 @@ decpt, is placed after the digits with the separator behind it.
 every cell's run in order, which is the chunk's text.
 
 Subnormal and non-finite values, which tables rarely or never hold, are
-written by ``repr`` into their cells. The lookup tables are built at import;
-working memory is one chunk of at most CHUNK values, whatever the block.
+written by ``repr`` into their cells. The lookup tables are built at import,
+and each separator's layout once, at its first use. Working memory is one
+chunk of at most CHUNK values, whatever the block; `format_chunks` hands out
+the text one chunk at a time, so a writer holds no more of it than that.
 
 Every report CSV goes through `write_csv`: named 1-D columns, written by
 ``csv.writer`` with rows ended by ``\\r\\n``.
@@ -48,8 +50,9 @@ Every report CSV goes through `write_csv`: named 1-D columns, written by
 from __future__ import annotations
 
 import csv
+import functools
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -381,10 +384,21 @@ def _format_chunk(x: np.ndarray, seps: list[bytes], sep_word: np.ndarray,
     return cb[cb != 0].tobytes()
 
 
-def format_rows(block: np.ndarray, sep: str) -> bytes:
-    """The rows of a 2-D float64 block as ASCII text: each row's values as
-    ``repr`` writes them, joined by sep (one or two ASCII characters other
-    than NUL), and each row ended by a newline."""
+@functools.lru_cache(maxsize=8)
+def _layout(inner: bytes) -> np.ndarray:
+    """The `_separated` tables of the inner separator and of the newline,
+    stacked as `_format_chunk` takes them; built once per separator (the
+    package writes two) and read-only, since every call shares it."""
+    layout = np.concatenate([_separated(inner), _separated(b"\n")])
+    layout.setflags(write=False)
+    return layout
+
+
+def format_chunks(block: np.ndarray, sep: str) -> Iterator[tuple[int, bytes]]:
+    """`format_rows(block, sep)` chunk by chunk: (first row, text) of
+    consecutive runs of whole rows, at most CHUNK values each, so a caller
+    can write the text with no more of it in memory than one chunk. The
+    separator is checked at the call."""
     inner = sep.encode("ascii")
     if not (0 < len(inner) <= 2 and b"\0" not in inner):
         raise ValueError(f"a separator must be 1 or 2 characters other than NUL: {sep!r}")
@@ -392,10 +406,17 @@ def format_rows(block: np.ndarray, sep: str) -> bytes:
     rows, cols = block.shape
     seps = [inner] * (cols - 1) + [b"\n"]
     sep_word = np.array([int.from_bytes(s, "little") for s in seps], _U)
-    layout = np.concatenate([_separated(inner), _separated(b"\n")])
+    layout = _layout(inner)
     step = max(1, CHUNK // cols)
-    return b"".join(_format_chunk(block[s:s + step], seps, sep_word, layout)
-                    for s in range(0, rows, step))
+    return ((s, _format_chunk(block[s:s + step], seps, sep_word, layout))
+            for s in range(0, rows, step))
+
+
+def format_rows(block: np.ndarray, sep: str) -> bytes:
+    """The rows of a 2-D float64 block as ASCII text: each row's values as
+    ``repr`` writes them, joined by sep (one or two ASCII characters other
+    than NUL), and each row ended by a newline."""
+    return b"".join(text for _, text in format_chunks(block, sep))
 
 
 def write_csv(path: Path | str, columns: dict[str, Sequence]) -> None:

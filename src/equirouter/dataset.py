@@ -16,14 +16,17 @@ On-disk layout of a table directory::
 
 Floats are written as ``repr`` writes them, the shortest representation that
 parses back to the identical 64-bit value, so save -> load is bit-exact. The
-row files' floats come from `_floatfmt.format_rows`, which produces the same
-bytes from whole blocks of array operations.
+row files' floats come from `_floatfmt.format_chunks`, which produces the same
+bytes from whole chunks of array operations.
 
-save_table and load_table stream the row files in blocks of IO_BLOCK rows:
-besides the table itself, they hold the Python objects of one block and, while
-loading, the parsed blocks of the file being read, so working memory is
-O(IO_BLOCK) plus about one copy of the result arrays. The block size changes
-neither the bytes written nor the values loaded nor any error message.
+save_table writes the row files chunk by chunk: each chunk of
+`_floatfmt.CHUNK` values goes from the formatter into the file as bytes
+(queries.jsonl wraps each of its rows in its JSON line first), so besides the
+table it holds one chunk's text, whatever the row count. load_table reads the
+row files in blocks of IO_BLOCK rows: besides the result, it holds the Python
+objects of one block and the parsed blocks of the file being read, so its
+working memory is O(IO_BLOCK) plus about one copy of the result arrays. The
+block size changes neither the values loaded nor any error message.
 
 table.bin is a `neuralnet.save_checkpoint` file that save_table writes last,
 after removing any old one. Its header records a format version, the SHA-256
@@ -50,11 +53,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._floatfmt import format_rows
+from ._floatfmt import format_chunks
 from .neuralnet import load_checkpoint, save_checkpoint
 from .rng import STREAM_SPLIT, STREAM_SYNTH, make_rng
 
-# Table files are read and written this many rows at a time.
+# load_table reads the row files this many rows at a time.
 IO_BLOCK = 4096
 
 ROW_FILES = ("queries.jsonl", "perf.csv", "cost.csv")
@@ -264,23 +267,20 @@ def save_table(table: RoutingTable, path: Path | str) -> None:
     ]
     (root / "models.json").write_text(json.dumps(models, sort_keys=True, indent=2) + "\n")
     # json.dumps writes a finite float as its repr, so each line is built
-    # directly around format_rows' text; validate_table has already rejected
-    # non-finite values
+    # directly around the formatter's text; validate_table has already
+    # rejected non-finite values
     digests = {}
     with _HashedFile(root / "queries.jsonl") as raw:
-        with io.TextIOWrapper(io.BufferedWriter(raw), encoding="ascii") as fh:
-            for s in range(0, table.n_queries, IO_BLOCK):
-                rows = format_rows(table.embeddings[s:s + IO_BLOCK], ", ").decode("ascii")
-                fh.writelines(
-                    '{"query_id": ' + json.dumps(qid) + ', "embedding": [' + row + "]}\n"
-                    for qid, row in zip(table.query_ids[s:s + IO_BLOCK], rows.split("\n"))
-                )
+        with io.BufferedWriter(raw) as fh:
+            for s, text in format_chunks(table.embeddings, ", "):
+                rows = text.split(b"\n")  # the last is empty: the text ends in one
+                fh.write(b"".join(map(_query_line, table.query_ids[s:s + len(rows) - 1], rows)))
         digests["queries.jsonl"] = raw.digest.hexdigest()
     for name, mat in (("perf.csv", table.perf), ("cost.csv", table.cost)):
         with _HashedFile(root / name) as raw:
             with io.BufferedWriter(raw) as fh:
-                for s in range(0, len(mat), IO_BLOCK):
-                    fh.write(format_rows(mat[s:s + IO_BLOCK], ","))
+                for _, text in format_chunks(mat, ","):
+                    fh.write(text)
             digests[name] = raw.digest.hexdigest()
     # the ids travel as one string and their lengths, not as a JSON list,
     # whose encoder would hold several Python objects per row
@@ -295,6 +295,12 @@ def save_table(table: RoutingTable, path: Path | str) -> None:
         "query_ids": ids,
     }
     save_checkpoint(root / SIDECAR, header, arrays)
+
+
+def _query_line(qid: str, row: bytes) -> bytes:
+    """One queries.jsonl line around an embedding's formatted row; json.dumps
+    escapes every non-ASCII character of the id."""
+    return b'{"query_id": %s, "embedding": [%s]}\n' % (json.dumps(qid).encode("ascii"), row)
 
 
 class _HashedFile(io.FileIO):

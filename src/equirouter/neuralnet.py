@@ -10,7 +10,8 @@ recorded output (y > 0 exactly where the pre-activation is > 0), so no
 pre-activation is recomputed. Parameters travel as lists of
 arrays in a fixed order, so the test suite's gradient checker and the
 checkpoint format agree on the coordinate layout; Adam updates one flat
-vector, those arrays concatenated in the same order, and returns a new one.
+vector, those arrays concatenated in the same order, and returns a new one
+(its moments are updated in place).
 Initialization is uniform in +-sqrt(6 / (fan_in + fan_out)) from a seeded
 Philox stream; training is single-threaded and bit-reproducible for a fixed
 seed.
@@ -172,13 +173,26 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> np.ndarr
         )
     state.step += 1
     t = state.step
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = state.m / (1.0 - ADAM_BETA1**t)
-    v_hat = state.v / (1.0 - ADAM_BETA2**t)
-    new = theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    # the update below, in two scratch arrays: m = b1 * m + (1 - b1) * g,
+    # v = b2 * v + (1 - b2) * g * g, new = theta - lr * m_hat / (sqrt(v_hat)
+    # + eps) - (lr * decay) * theta; the same operations in the same order
+    m, v = state.m, state.v
+    tmp = np.multiply(1.0 - ADAM_BETA1, grad)
+    m *= ADAM_BETA1
+    m += tmp
+    np.multiply(1.0 - ADAM_BETA2, grad, out=tmp)
+    tmp *= grad
+    v *= ADAM_BETA2
+    v += tmp
+    new = np.divide(m, 1.0 - ADAM_BETA1**t)  # m_hat
+    new *= state.learning_rate
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=tmp)  # v_hat
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPSILON
+    new /= tmp
+    np.subtract(theta, new, out=new)
     if state.weight_decay:
-        new = new - state.learning_rate * state.weight_decay * theta
+        new -= np.multiply(state.learning_rate * state.weight_decay, theta, out=tmp)
     return new
 
 

@@ -145,10 +145,11 @@ def prefix_table(scores: np.ndarray, filter_costs: np.ndarray) -> PrefixTable:
     N, K = filter_costs.shape
     # row m holds every query's (m + 1)-th model in (cost, index) order
     order = np.ascontiguousarray(np.argsort(filter_costs, axis=1, kind="stable").T)
-    ranked = np.take(scores, order + np.arange(0, N * K, K))
     # model indices in the narrowest unsigned type, whose wrap-around keeps
     # the branch-free blend below exact
     choices = order.astype(np.min_scalar_type(K))
+    order += np.arange(0, N * K, K)  # in place: the flat gather index
+    ranked = np.take(scores, order)
     del order  # freed before the final intp copy of choices is made
     best = ranked[0].copy()
     for m in range(1, K):
@@ -161,6 +162,7 @@ def prefix_table(scores: np.ndarray, filter_costs: np.ndarray) -> PrefixTable:
         step = choices[m - 1] - choices[m]
         step *= kept
         choices[m] += step
+    del ranked  # freed before the table's two (K, N) arrays are made
     return PrefixTable(np.ascontiguousarray(filter_costs.T), choices.astype(np.intp))
 
 

@@ -19,12 +19,18 @@ architecture but regresses s_j onto the raw performance values. A network's
 tag, one of EQUI_TAGS, is its variant: it sets the head's input and the
 training objective, and a checkpoint records it as its router_type.
 
-The ordered pairs of a split are one dense precedence tensor W (N, K, K),
-W[n, i, j] = 1/|P_n| where i outranks j in query n, built once per split;
-batch loss, score gradient and validation loss are masked array ops over it,
-with one exp(-|s_i - s_j|) per entry serving both the loss and its gradient.
-W takes N * K^2 * 8 bytes, about 1 MB for 1000 training queries over 11
-models; K <= 20 keeps it negligible.
+The ordered pairs of a query are a precedence matrix W (K, K), W[i, j] =
+1/|P_n| where i outranks j in query n (`build_pair_set`); batch loss, score
+gradient and validation loss are masked array ops over a batch's W, with one
+exp(-|s_i - s_j|) per entry serving both the loss and its gradient. The
+training split keeps W as a rank code, O(N * K) bytes: per query, the count
+of models that outrank each model, and 1/|P_n|. The precedence rule is a
+strict weak order, so i outranks j exactly when fewer models outrank i than
+j, and each batch's W is rebuilt from the code byte for byte
+(`_rank_weights`). The code is taken from `build_pair_set` in PAIR_BLOCK-query
+blocks, so the rule is written once and no (N, K, K) array is held. The
+validation split keeps its dense W, N_valid * K^2 * 8 bytes, and its loss
+holds two such arrays while it is computed.
 
 The head's first layer acts on the four D-column blocks of h_j separately.
 With W1 = [Wz, We, Wu, Wv], its pre-activation is z_j Wz^T + (z_j * e_j) Wu^T
@@ -52,11 +58,13 @@ An EquiRouter training run allocates one workspace (`_workspace`), sized for
 its batch and its largest validation scoring block. Every step and
 validation block writes its (B, K, D) intermediates into it with `out=`, so
 no step allocates, and the OS maps in, fresh arrays of that size.
-Intermediates whose lifetimes do not overlap share a slot: three for the
-joint head, two for the no-joint one, no more (B, K, D) arrays than one step
-would hold alive. `out=` changes where a result is stored, not how it is
-computed, so training is bit-identical with or without it. Scoring outside
-training allocates per block as before.
+Intermediates whose lifetimes do not overlap share a slot: a training step
+of the joint head uses three, the no-joint one two, no more (B, K, D) arrays
+than one step would hold alive. Scoring keeps nothing for a backward pass, so
+|z_j - e_j| and then the pre-activation overwrite z_j - e_j: two slots for the
+joint head, one for the no-joint one. `out=` changes where a result is
+stored, not how it is computed, so training is bit-identical with or without
+it. Scoring outside training allocates per block, in the same two arrays.
 
 The model-side terms g, b, e_j, A, c and Wv^T depend on no query. The training
 objectives compute them fresh on every call; scoring (`scores_batch`, and so
@@ -111,6 +119,7 @@ from .rng import STREAM_INIT, STREAM_SHUFFLE, make_rng
 
 COST_FLOOR = float(np.finfo(np.float64).tiny)
 SCORE_BLOCK = 256  # query rows per scoring block; see the module docstring
+PAIR_BLOCK = 1024  # queries per `build_pair_set` call of `_pair_ranks`
 BLOW_UP = 1e6  # a batch loss over this times the first batch's is divergence
 EQUI_TAGS = ("equirouter", "equirouter_nojoint", "mse")  # EquiRouter variants
 
@@ -275,6 +284,7 @@ def _scoring_terms(p: EquiRouterParams) -> tuple[np.ndarray, ...]:
 # then V = |X| Wv^T; P, which becomes H. Backward, once the relu mask is
 # applied: V's slot holds dH (= dP); P's holds |X|, then dX; X's becomes
 # X's sign bits. A no-joint network uses P forward, and P and V's slot backward.
+# Scoring keeps no X: X, |X| and then P are all in P's slot, and V in V's.
 _P, _V, _X = range(3)
 _SIGN_BIT = np.uint64(1 << 63)
 
@@ -285,7 +295,7 @@ def _workspace(p: EquiRouterParams, rows: int, score_rows: int) -> np.ndarray:
     blocks of B <= score_rows. Slot i of a B-row pass is the i-th run of
     B * K * D values, so the buffer holds no more (B, K, D) arrays than such
     a pass would hold alive without it."""
-    train_slots, score_slots = (3, 3) if p.joint_feature else (2, 1)
+    train_slots, score_slots = (3, 2) if p.joint_feature else (2, 1)
     size = max(train_slots * rows, score_slots * score_rows)
     return np.empty(size * p.hyper.n_models * p.latent_dim)
 
@@ -304,10 +314,13 @@ def _forward_scores(
     Q: np.ndarray,
     terms: tuple[np.ndarray, ...],
     workspace: np.ndarray | None = None,
+    backward: bool = True,
 ):
     """Batched scores (B, K) plus the cache needed for the backward pass;
     `terms` are `_model_terms(p)`. With a `_workspace`, every (B, K, D)
-    intermediate is written into it; the values are the same either way."""
+    intermediate is written into it; the values are the same either way.
+    Without `backward` (scoring), X is not kept and its storage is reused,
+    so the cache serves no backward pass."""
     Q = np.asarray(Q, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[1] != p.hyper.d_q:
         raise ValueError(f"query batch shape {Q.shape} does not match d_q={p.hyper.d_q}")
@@ -318,13 +331,16 @@ def _forward_scores(
     Z, trunk_acts = forward_layers(p.trunk, Q)  # (B, D)
 
     X = None
+    (p_out,) = _slots(workspace, (B, K * D), _P)
     if p.joint_feature:  # X = z_j - e_j = gamma * z + (beta - E)
         gamma, shift = terms[0], terms[3]
-        abs_out, v_out, x_out = _slots(workspace, (B, K, D), _P, _V, _X)
+        x_out, abs_out, v_out = _slots(workspace, (B, K, D), _X if backward else _P, _P, _V)
         X = np.einsum("bd,kd->bkd", Z, gamma, out=x_out)  # faster than broadcasting
         X += shift
+        if not backward:  # nothing keeps X: |X|, then P, overwrite it
+            abs_out, p_out = X, X.reshape(B, K * D)
         V = np.matmul(np.abs(X, out=abs_out), WvT, out=v_out)
-    (p_out,) = _slots(workspace, (B, K * D), _P)
+        X = X if backward else None
     P = np.matmul(Z, A, out=p_out).reshape(B, K, D)  # every model's z_j and u blocks
     P += c
     if p.joint_feature:
@@ -435,7 +451,8 @@ def scores_batch(
     block's intermediates, so it needs `_largest_block(N)` rows."""
     terms = _scoring_terms(p)
     return _in_blocks(
-        lambda q: _forward_scores(p, q, terms, workspace)[0], np.asarray(Q, dtype=np.float64)
+        lambda q: _forward_scores(p, q, terms, workspace, False)[0],
+        np.asarray(Q, dtype=np.float64),
     )
 
 
@@ -457,6 +474,27 @@ def build_pair_set(table: RoutingTable, indices: np.ndarray) -> np.ndarray:
     return P / np.maximum(P.sum(axis=(1, 2)), 1)[:, None, None]
 
 
+def _pair_ranks(table: RoutingTable, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rank code of the given queries' `build_pair_set` weights, taken
+    from it in PAIR_BLOCK-query blocks: (N, K) counts of the models that
+    outrank each model, and each query's nonzero weight 1/|P_n| (N,), 0 when
+    it has no ordered pair."""
+    N = len(indices)
+    ranks = np.empty((N, table.n_models), np.min_scalar_type(table.n_models))
+    inv = np.empty(N)
+    for s in range(0, N, PAIR_BLOCK):
+        W = build_pair_set(table, indices[s : s + PAIR_BLOCK])
+        ranks[s : s + PAIR_BLOCK] = np.count_nonzero(W, axis=1)
+        inv[s : s + PAIR_BLOCK] = W.max(axis=(1, 2))
+    return ranks, inv
+
+
+def _rank_weights(ranks: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The `build_pair_set` weights (B, K, K) of rows of `_pair_ranks`, byte
+    for byte: i outranks j exactly when fewer models outrank i than j."""
+    return (ranks[:, :, None] < ranks[:, None, :]) * inv[:, None, None]
+
+
 def _pair_loss(
     S: np.ndarray, W: np.ndarray, grad: bool = False
 ) -> tuple[float, int, np.ndarray | None]:
@@ -464,14 +502,27 @@ def _pair_loss(
     L_ij = log(1 + exp(-t_ij)) and t_ij = s_i - s_j; returns (loss, n, dS),
     loss 0 when n is 0, and dS, the loss's gradient w.r.t. S, when `grad`.
     One exp per entry serves both: with e = exp(-|t|), L = max(-t, 0) +
-    log1p(e) and sigmoid(-t) = where(t > 0, e, 1) / (1 + e), overflow-free."""
+    log1p(e) and sigmoid(-t) = where(t > 0, e, 1) / (1 + e), overflow-free.
+    Each step runs in place, in the order the formulas give, so the loss
+    holds two (B, K, K) arrays and the gradient three."""
     n = int(np.count_nonzero(W.any(axis=(1, 2))))
+    if not n:
+        return 0.0, 0, None
     t = S[:, :, None] - S[:, None, :]
-    e = np.exp(-np.abs(t))
-    loss = float(np.sum(W * (np.maximum(-t, 0.0) + np.log1p(e)))) / n if n else 0.0
-    if not (grad and n):
+    e = np.abs(t)
+    np.exp(np.negative(e, out=e), out=e)
+    positive = t > 0.0 if grad else None
+    L = np.maximum(np.negative(t, out=t), 0.0, out=t)
+    L += np.log1p(e, out=None if grad else e)
+    L *= W
+    loss = float(np.sum(L)) / n
+    if not grad:
         return loss, n, None
-    G = W * (np.where(t > 0.0, e, 1.0) / (1.0 + e)) / n  # W * sigmoid(-t) / n
+    G = np.add(1.0, e, out=L)
+    np.copyto(e, 1.0, where=np.logical_not(positive, out=positive))
+    np.divide(e, G, out=G)  # sigmoid(-t)
+    G *= W
+    G /= n
     return loss, n, np.einsum("bij->bj", G) - np.einsum("bij->bi", G)
 
 
@@ -590,12 +641,12 @@ def _fit(
     A finite batch loss over BLOW_UP times the first (pre-update) one raises
     it after the last epoch, naming its epoch, unless the run overflows first.
     """
-    shapes = [v.shape for v in plist]
     ends = np.cumsum([v.size for v in plist])
+    spans = [(int(end) - v.size, int(end), v.shape) for v, end in zip(plist, ends)]
     theta = np.concatenate([v.ravel() for v in plist])
 
     def install(theta: np.ndarray) -> None:
-        assign([part.reshape(shape) for part, shape in zip(np.split(theta, ends[:-1]), shapes)])
+        assign([theta[a:b].reshape(shape) for a, b, shape in spans])
 
     adam = init_adam(theta.size, learning_rate=hyper.learning_rate, weight_decay=weight_decay)
     log: list[TrainLogRow] = []
@@ -661,17 +712,22 @@ def _train_scores(
         hyper = EquiHyper(d_q=table.embed_dim, n_models=table.n_models)
     train_idx, valid_idx = _train_valid_arrays(split)
     if tag != "mse":
-        W_train = build_pair_set(table, train_idx)
-        keep = W_train.any(axis=(1, 2))
+        # queries without pairs are left out; nothing is copied if there are none
+        ranks, inv = _pair_ranks(table, train_idx)
+        keep = inv > 0.0
         if not keep.any():
             raise ValueError("no ranking supervision: every query has an empty pair set")
-        train_idx, W_train = train_idx[keep], W_train[keep]
+        if not keep.all():
+            train_idx, ranks, inv = train_idx[keep], ranks[keep], inv[keep]
         W_valid = build_pair_set(table, valid_idx)
         keep = W_valid.any(axis=(1, 2))
-        W_valid, valid_q = W_valid[keep], table.embeddings[valid_idx[keep]]
+        if not keep.all():
+            valid_idx, W_valid = valid_idx[keep], W_valid[keep]
+        valid_q = table.embeddings[valid_idx]
 
         def batch_objective(batch):
-            return ranking_objective(params, Q_train[batch], W_train[batch], workspace=workspace)
+            W = _rank_weights(ranks[batch], inv[batch])
+            return ranking_objective(params, Q_train[batch], W, workspace=workspace)
 
         def val_loss() -> float:
             S = scores_batch(params, valid_q, workspace)

@@ -820,7 +820,7 @@ def test_sweep_refuses_checkpoint_whose_hyper_size_is_a_float(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_refuses_checkpoint_whose_joint_feature_contradicts_its_kind(tmp_path, capsys):
+def test_sweep_refuses_relabelled_variant_checkpoint_by_shapes(tmp_path, capsys):
     # a no-joint network relabelled as the full EquiRouter: evaluating it
     # under --router equirouter would report the wrong ablation. Its head's
     # input is 2D wide, not 4D, so its arrays do not fit the relabelled kind

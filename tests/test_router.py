@@ -29,6 +29,8 @@ from equirouter.router import (
     _layer_params,
     _model_terms,
     _nearest,
+    _pair_ranks,
+    _rank_weights,
     _regressor_objective,
     _workspace,
     assign_params,
@@ -443,8 +445,14 @@ def test_workspace_forward_backward_are_bytewise_fresh(joint, k, d, rows, score_
         assert got_s.tobytes() == want_s.tobytes()  # and not overwritten by backward
         assert [g.tobytes() for g in got_g] == [g.tobytes() for g in want_g]
     Q = rng.standard_normal((score_rows, 4))
-    assert (scores_batch(p, Q, workspace).tobytes()
-            == _forward_scores(p, Q, terms)[0].tobytes())
+    want = _forward_scores(p, Q, terms)[0].tobytes()
+    assert scores_batch(p, Q, workspace).tobytes() == want
+    # scoring keeps no X: it fits the joint head's two slots (one for the
+    # no-joint head), and scores the same without a workspace
+    scoring = _workspace(p, 0, score_rows)
+    assert scoring.size == (2 if joint else 1) * score_rows * k * d
+    assert scores_batch(p, Q, scoring).tobytes() == want
+    assert _forward_scores(p, Q, terms, None, False)[0].tobytes() == want
 
 
 def _largest_allocation_per_call(monkeypatch, names):
@@ -637,6 +645,51 @@ def test_dense_precedence_matches_per_query_pairs(n, k, seed):
     if empty:
         with pytest.raises(ValueError, match="no ranking supervision"):
             ranking_objective(p, t.embeddings[empty], W[empty])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), k=st.integers(2, 9), block=st.integers(1, 8),
+       seed=st.integers(0, 10_000))
+def test_rank_code_rebuilds_pair_weights_bytewise(n, k, block, seed):
+    # tied performance and tied costs are common, and every third query ties
+    # on both for every model, so it has no ordered pair; rows repeat and
+    # come in any order, across several PAIR_BLOCK blocks
+    rng = make_rng(seed, 0)
+    a = rng.integers(0, 3, size=(n, k)) / 2.0
+    c = rng.integers(1, 4, size=(n, k)) / 4.0
+    a[::3], c[::3] = 0.5, 1.0
+    t = make_table(perf=a, cost=c, embeddings=rng.standard_normal((n, 3)))
+    rows = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(router_module, "PAIR_BLOCK", block)
+        ranks, inv = _pair_ranks(t, rows)
+    W = build_pair_set(t, rows)
+    assert ranks.shape == (len(rows), k) and inv.shape == (len(rows),)
+    assert np.array_equal(inv > 0.0, W.any(axis=(1, 2)))
+    assert _rank_weights(ranks, inv).tobytes() == W.tobytes()
+    batch = rng.permutation(len(rows))[: int(rng.integers(1, len(rows) + 1))]
+    assert _rank_weights(ranks[batch], inv[batch]).tobytes() == W[batch].tobytes()
+
+
+def test_training_memory_grows_less_than_dense_pair_weights():
+    # one epoch on every query with no validation split, as training-set
+    # evaluation trains: from N to 4N queries the peak grows by less than
+    # the (3N, K, K) float64 array that dense training weights would add
+    k, n = 11, 1000
+
+    def peak(n_queries):
+        t = generate_synthetic(SynthConfig(n_queries=n_queries, n_models=k, embed_dim=8,
+                                           tie_fraction=0.5, noise_seed=4))
+        hyper = EquiHyper(d_q=8, n_models=k, d_m=8, latent_dim=16, epochs=1, batch_size=256)
+        every = np.arange(n_queries)
+        tracemalloc.start()
+        try:
+            train_equirouter(t, (every, every[:0]), hyper)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * n) - peak(n) < 3 * n * k * k * 8
 
 
 # ---------------------------------------------------------------------------
@@ -1347,7 +1400,7 @@ def test_load_router_refuses_malformed_knn_header(tmp_path, edit, error):
         pytest.param("mse", {"joint_feature": 1}, id="mse-int"),
     ],
 )
-def test_load_router_refuses_joint_feature_that_contradicts_router_type(tmp_path, tag, edit):
+def test_load_router_refuses_relabelled_variant_by_shapes(tmp_path, tag, edit):
     # router_type alone is the variant. A relabel across the joint and
     # no-joint heads changes the head's input width (4D vs 2D), so the arrays
     # do not fit; an older checkpoint's joint_feature field is ignored
